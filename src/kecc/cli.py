@@ -184,9 +184,6 @@ def build_parser():
     top = argparse.ArgumentParser(
         prog="kecc",
         description="edge-connectivity toolkit for directed multigraphs")
-    top.add_argument("--threads", type=int, default=None,
-                     help="reserved; execution is single-process and "
-                          "deterministic regardless of this value")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph file")

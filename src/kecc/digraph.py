@@ -10,6 +10,7 @@ disjoint-set structure where edge endpoints are resolved through find().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 ORDINARY = 0
 AUX_KOUT = 1
@@ -121,7 +122,7 @@ class Digraph:
         self.dsu = None
         self.contraction_log = []
         self._version = 0
-        self._csr_cache = None
+        self._adj_cache = {}
 
     # -- construction ------------------------------------------------------
 
@@ -418,37 +419,27 @@ class Digraph:
         m_alive = sum(1 for e in range(len(self.e_tail)) if self.e_alive[e])
         assert m_out == m_in == m_alive == self.m_live, "edge counter drift"
 
-    # -- flat adjacency snapshot for hot traversals -------------------------
+    # -- adjacency snapshot for hot traversals -----------------------------
 
-    def csr(self):
-        """Flat (offsets, edge-ids, endpoints) arrays in ring order.
+    def adjacency(self, backward=False):
+        """Per-vertex flat lists [e0, head0, e1, head1, ...] in ring order,
+        with tails in place of heads when backward.
 
-        Only available for plain graphs; lazily cached until the next mutation.
+        Flat lists rather than (edge, head) tuples keep the snapshot as small
+        as offset arrays would.  Only available for plain graphs; each
+        direction is built on first use and cached until the next mutation.
         """
         if self.dsu is not None:
             raise GraphError("no flat snapshot for lazily contracted graphs")
-        cached = self._csr_cache
+        cached = self._adj_cache.get(backward)
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        n = len(self.kind)
-        op = [0] * (n + 1)
-        ip = [0] * (n + 1)
-        oe, oh, ie, it = [], [], [], []
-        for v in range(n):
-            if self.v_alive[v]:
-                for e in self.out_edges(v):
-                    oe.append(e)
-                    oh.append(self.e_head[e])
-            op[v + 1] = len(oe)
-        for v in range(n):
-            if self.v_alive[v]:
-                for e in self.in_edges(v):
-                    ie.append(e)
-                    it.append(self.e_tail[e])
-            ip[v + 1] = len(ie)
-        snap = (op, oe, oh, ip, ie, it)
-        self._csr_cache = (self._version, snap)
-        return snap
+        ring, end = ((self.in_edges, self.e_tail) if backward
+                     else (self.out_edges, self.e_head))
+        adj = [[x for e in ring(v) for x in (e, end[e])]
+               if self.v_alive[v] else [] for v in range(len(self.kind))]
+        self._adj_cache[backward] = (self._version, adj)
+        return adj
 
 
 class ReversalOverlay:
@@ -456,7 +447,8 @@ class ReversalOverlay:
 
     Traversal through the overlay sees edge (x, y) as (y, x) when flipped.
     The base graph is never touched; undo_all / rewind restore the overlay to
-    an earlier journal mark exactly.
+    an earlier journal mark exactly.  bfs and bounded_bfs are the one
+    breadth-first kernel that flows and local searches walk the overlay with.
     """
 
     def __init__(self, g):
@@ -539,6 +531,96 @@ class ReversalOverlay:
         for e in g.out_edges(v):
             if flip[e]:
                 yield e, g.head(e)
+
+    # -- traversal ---------------------------------------------------------
+    #
+    # Vertices without a flipped edge are walked through the adjacency
+    # snapshot of a plain graph; the rest, and every vertex of a lazily
+    # contracted graph, through succ/pred.  Both visit edges in ring order.
+
+    def _snapshot(self, backward=False):
+        g = self.g
+        return None if g.dsu is not None else g.adjacency(backward)
+
+    def bfs(self, src, target=-1, backward=False):
+        """Breadth-first search from src over successors, or predecessors
+        when backward, stopping as soon as target is discovered.
+
+        Returns (queue, tree, hit): the vertices in discovery order, the edge
+        each discovered vertex was reached by (-1 for src and undiscovered
+        vertices), and whether target was discovered.
+        """
+        n = len(self.g.kind)
+        visited = bytearray(n)
+        visited[src] = 1
+        tree = [-1] * n
+        queue = [src]
+        dirty = self.dirty
+        step = self.pred if backward else self.succ
+        snap = self._snapshot(backward)
+        for x in queue:
+            if snap is not None and x not in dirty:
+                flat = iter(snap[x])
+                adj = zip(flat, flat)  # consecutive (edge, end) pairs
+            else:
+                adj = step(x)
+            for e, y in adj:
+                if visited[y]:
+                    continue
+                visited[y] = 1
+                tree[y] = e
+                if y == target:
+                    return queue, tree, True
+                queue.append(y)
+        return queue, tree, False
+
+    def bounded_bfs(self, src, target, limit, scanned=None):
+        """Forward breadth-first search from src that scans at most limit
+        edges and stops when an edge into target is scanned.
+
+        Returns (queue, tree, hit, count) like bfs, plus the number of edges
+        scanned; the ids of scanned edges are appended to scanned if given.
+        Adjacency is read lazily, so no edge past the limit is touched.
+        """
+        n = len(self.g.kind)
+        visited = bytearray(n)
+        visited[src] = 1
+        tree = [-1] * n
+        queue = [src]
+        left = limit
+        dirty = self.dirty
+        snap = self._snapshot()
+        for x in queue:
+            if not left:
+                break
+            if snap is not None and x not in dirty:
+                flat = iter(snap[x])
+                adj = zip(flat, flat)
+            else:
+                adj = self.succ(x)
+            for e, y in islice(adj, left):
+                left -= 1
+                if scanned is not None:
+                    scanned.append(e)
+                if y == target:
+                    tree[y] = e
+                    return queue, tree, True, limit - left
+                if not visited[y]:
+                    visited[y] = 1
+                    tree[y] = e
+                    queue.append(y)
+        return queue, tree, False, limit - left
+
+    def tree_path(self, tree, src, dst):
+        """Edges of the path from src to dst in the tree of a forward
+        search, in walk order."""
+        path = []
+        while dst != src:
+            e = tree[dst]
+            path.append(e)
+            dst = self.tail(e)
+        path.reverse()
+        return path
 
 
 # -- set measures -----------------------------------------------------------

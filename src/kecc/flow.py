@@ -29,130 +29,14 @@ class FlowState:
         self.sink = sink
 
 
-def _augmenting_path(ov, src, dst):
-    """Shortest augmenting path in the overlay (BFS, ring order first)."""
-    g = ov.g
-    n = len(g.kind)
-    visited = bytearray(n)
-    visited[src] = 1
-    par_edge = [-1] * n
-    par_vert = [-1] * n
-    queue = [src]
-    qi = 0
-    dirty = ov.dirty
-    if g.dsu is None:
-        op, oe, oh, _ip, _ie, _it = g.csr()
-        flip = ov.flip
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            if x in dirty:
-                entries = list(ov.succ(x))
-            else:
-                entries = None
-            if entries is None:
-                for j in range(op[x], op[x + 1]):
-                    y = oh[j]
-                    if visited[y]:
-                        continue
-                    visited[y] = 1
-                    par_edge[y] = oe[j]
-                    par_vert[y] = x
-                    if y == dst:
-                        return _walk_back(par_edge, par_vert, src, dst)
-                    queue.append(y)
-            else:
-                for e, y in entries:
-                    if visited[y]:
-                        continue
-                    visited[y] = 1
-                    par_edge[y] = e
-                    par_vert[y] = x
-                    if y == dst:
-                        return _walk_back(par_edge, par_vert, src, dst)
-                    queue.append(y)
-        return None
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for e, y in ov.succ(x):
-            if visited[y]:
-                continue
-            visited[y] = 1
-            par_edge[y] = e
-            par_vert[y] = x
-            if y == dst:
-                return _walk_back(par_edge, par_vert, src, dst)
-            queue.append(y)
-    return None
-
-
-def _walk_back(par_edge, par_vert, src, dst):
-    path = []
-    y = dst
-    while y != src:
-        path.append(par_edge[y])
-        y = par_vert[y]
-    path.reverse()
-    return path
-
-
 def overlay_reach(ov, src):
     """Vertices reachable from src through the overlay."""
-    g = ov.g
-    n = len(g.kind)
-    visited = bytearray(n)
-    visited[src] = 1
-    queue = [src]
-    qi = 0
-    dirty = ov.dirty
-    fast = g.dsu is None
-    if fast:
-        op, _oe, oh, _ip, _ie, _it = g.csr()
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        if fast and x not in dirty:
-            for j in range(op[x], op[x + 1]):
-                y = oh[j]
-                if not visited[y]:
-                    visited[y] = 1
-                    queue.append(y)
-        else:
-            for _e, y in ov.succ(x):
-                if not visited[y]:
-                    visited[y] = 1
-                    queue.append(y)
-    return set(queue)
+    return set(ov.bfs(src)[0])
 
 
 def overlay_co_reach(ov, dst):
     """Vertices that reach dst through the overlay."""
-    g = ov.g
-    n = len(g.kind)
-    visited = bytearray(n)
-    visited[dst] = 1
-    queue = [dst]
-    qi = 0
-    dirty = ov.dirty
-    fast = g.dsu is None
-    if fast:
-        _op, _oe, _oh, ip, _ie, it = g.csr()
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        if fast and x not in dirty:
-            for j in range(ip[x], ip[x + 1]):
-                y = it[j]
-                if not visited[y]:
-                    visited[y] = 1
-                    queue.append(y)
-        else:
-            for _e, y in ov.pred(x):
-                if not visited[y]:
-                    visited[y] = 1
-                    queue.append(y)
-    return set(queue)
+    return set(ov.bfs(dst, backward=True)[0])
 
 
 def flow_state(g, src, dst, cap=None):
@@ -164,10 +48,10 @@ def flow_state(g, src, dst, cap=None):
     ov = ReversalOverlay(g)
     value = 0
     while cap is None or value < cap:
-        path = _augmenting_path(ov, src, dst)
-        if path is None:
+        _queue, tree, hit = ov.bfs(src, dst)
+        if not hit:
             break
-        ov.reverse_path(path)
+        ov.reverse_path(ov.tree_path(tree, src, dst))
         value += 1
     return FlowState(ov, value, src, dst)
 

@@ -132,116 +132,8 @@ def find_out_paths(ov, v, s, k, delta, budget=None):
 def _bounded_reach(ov, v, s, delta):
     """Visited set of a traversal from v with budget delta+1, or None if s
     was discovered or more than delta edges were needed."""
-    g = ov.g
-    n = len(g.kind)
-    visited = bytearray(n)
-    visited[v] = 1
-    queue = [v]
-    qi = 0
-    left = delta + 1
-    dirty = ov.dirty
-    fast = g.dsu is None
-    if fast:
-        op, _oe, oh, _ip, _ie, _it = g.csr()
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        if fast and x not in dirty:
-            for j in range(op[x], op[x + 1]):
-                if left == 0:
-                    return None
-                left -= 1
-                y = oh[j]
-                if y == s:
-                    return None
-                if not visited[y]:
-                    visited[y] = 1
-                    queue.append(y)
-        else:
-            for _e, y in ov.succ(x):
-                if left == 0:
-                    return None
-                left -= 1
-                if y == s:
-                    return None
-                if not visited[y]:
-                    visited[y] = 1
-                    queue.append(y)
-    # left == 0 here means exactly delta+1 edges were consumed: too many
-    return set(queue) if left else None
-
-
-def _bfs_round(ov, v, s, max_explored):
-    """One exploration round: BFS from v until max_explored edges are
-    consumed, the frontier is exhausted, or s is discovered.
-
-    Returns ("s", path-to-s) or ("stopped", (explored edge ids, parents)).
-    """
-    g = ov.g
-    n = len(g.kind)
-    visited = bytearray(n)
-    visited[v] = 1
-    par_edge = [-1] * n
-    par_vert = [-1] * n
-    queue = [v]
-    qi = 0
-    eids = []
-    left = max_explored
-    dirty = ov.dirty
-    fast = g.dsu is None
-    if fast:
-        op, oe, oh, _ip, _ie, _it = g.csr()
-    while qi < len(queue) and left:
-        x = queue[qi]
-        qi += 1
-        if fast and x not in dirty:
-            for j in range(op[x], op[x + 1]):
-                if not left:
-                    break
-                left -= 1
-                e = oe[j]
-                eids.append(e)
-                y = oh[j]
-                if y == s:
-                    par_edge[y] = e
-                    par_vert[y] = x
-                    return "s", _tree_path(par_edge, par_vert, v, s)
-                if not visited[y]:
-                    visited[y] = 1
-                    par_edge[y] = e
-                    par_vert[y] = x
-                    queue.append(y)
-            else:
-                continue
-            break
-        for e, y in ov.succ(x):
-            if not left:
-                break
-            left -= 1
-            eids.append(e)
-            if y == s:
-                par_edge[y] = e
-                par_vert[y] = x
-                return "s", _tree_path(par_edge, par_vert, v, s)
-            if not visited[y]:
-                visited[y] = 1
-                par_edge[y] = e
-                par_vert[y] = x
-                queue.append(y)
-        else:
-            continue
-        break
-    return "stopped", (eids, par_edge, par_vert)
-
-
-def _tree_path(par_edge, par_vert, src, dst):
-    path = []
-    y = dst
-    while y != src:
-        path.append(par_edge[y])
-        y = par_vert[y]
-    path.reverse()
-    return path
+    queue, _tree, hit, count = ov.bounded_bfs(v, s, delta + 1)
+    return None if hit or count > delta else set(queue)
 
 
 def local_search_mset(g, v, s, k, delta, debug=False):
@@ -296,17 +188,16 @@ def _randomized_search(g, v, s, k, delta, rng):
     ov = ReversalOverlay(g)
     used_rng = False
     for _ in range(k):
-        status, data = _bfs_round(ov, v, s, 2 * k * delta)
-        if status == "s":
-            ov.reverse_path(data)
-            continue
-        eids, par_edge, par_vert = data
-        if not eids:
+        eids = []
+        _queue, tree, hit, _count = ov.bounded_bfs(v, s, 2 * k * delta, eids)
+        if hit:
+            x = s
+        elif eids:
+            used_rng = True
+            x = ov.tail(eids[rng.randrange(len(eids))])
+        else:
             return EMPTY, used_rng
-        used_rng = True
-        e = eids[rng.randrange(len(eids))]
-        x = ov.tail(e)
-        ov.reverse_path(_tree_path(par_edge, par_vert, v, x))
+        ov.reverse_path(ov.tree_path(tree, v, x))
     members = _bounded_reach(ov, v, s, delta)
     if members is None:
         return EMPTY, used_rng

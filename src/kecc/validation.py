@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 from .digraph import Digraph, GraphError, ORDINARY, AUX_OTHER
 
 
@@ -10,7 +12,7 @@ class NotFittedError(ValueError, AttributeError):
 
 
 def check_k(k):
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return k
 
@@ -27,32 +29,44 @@ def check_mode(mode, allowed=("det", "rand", "exact")):
     return mode
 
 
+def _integer(x):
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise GraphError(f"vertex ids and multiplicities must be integers, "
+                         f"got {x!r}") from None
+
+
 def as_digraph(X, ordinary=None):
     """Coerce common edge-list shapes into a Digraph.
 
-    Accepts a Digraph (passed through), an (n, edges) pair, or a bare
-    iterable of (u, v) / (u, v, multiplicity) tuples over 0-based ids.
+    Accepts a Digraph (copied before `ordinary` marks are applied, so the
+    caller's graph is never changed), an (n, edges) pair, or a bare iterable
+    of (u, v) / (u, v, multiplicity) tuples over 0-based integer ids.
     `ordinary` optionally restricts which vertices carry component claims.
     """
     if isinstance(X, Digraph):
-        g = X
+        g = X if ordinary is None else X.copy()
     else:
         if isinstance(X, tuple) and len(X) == 2 and isinstance(X[0], int):
             n, edges = X
         else:
-            edges = list(X)
-            n = 0
-            for row in edges:
-                n = max(n, row[0] + 1, row[1] + 1)
-        g = Digraph()
-        g.add_vertices(n)
+            edges = X
+            n = None
+        arcs = []
         for row in edges:
             if len(row) == 2:
                 u, v = row
                 mult = 1
             else:
                 u, v, mult = row
-            g.add_edge(int(u), int(v), copies=int(mult))
+            arcs.append((_integer(u), _integer(v), _integer(mult)))
+        if n is None:
+            n = max((max(u, v) + 1 for u, v, _ in arcs), default=0)
+        g = Digraph()
+        g.add_vertices(n)
+        for u, v, mult in arcs:
+            g.add_edge(u, v, copies=mult)
     if ordinary is not None:
         marked = set(ordinary)
         for v in g.vertices():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from kecc.digraph import GraphError
 from kecc.driver import compute_k2ecc
 from kecc.estimator import KPlusTwoComponents, PreparedFourComponents
 from kecc.gen import gen_blocks, gen_chain, sub_rng
@@ -77,10 +78,27 @@ def test_as_digraph_shapes():
         as_digraph([])
 
 
+def test_as_digraph_leaves_caller_graph_alone():
+    g = gen_chain(2, 5, 1)
+    kinds = list(g.kind)
+    PreparedFourComponents(mode="exact").fit(g, ordinary=[0, 1, 2])
+    assert g.kind == kinds
+    marked = as_digraph(g, ordinary=[0, 1, 2])
+    assert marked.ordinary_vertices() == [0, 1, 2] and g.kind == kinds
+
+
+def test_as_digraph_rejects_non_integer_ids():
+    for edges in ([("a", "b")], [(0.5, 1)], [(0, 1, 1.5)]):
+        with pytest.raises(GraphError):
+            as_digraph(edges)
+
+
 def test_check_helpers():
     assert check_k(2) == 2
     with pytest.raises(ValueError):
         check_k(-1)
+    with pytest.raises(ValueError):
+        check_k(True)
     assert check_delta(0.5) == 0.5
     with pytest.raises(ValueError):
         check_delta(0.0)

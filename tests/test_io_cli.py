@@ -159,6 +159,7 @@ def test_cli_bench_schema(tmp_path, monkeypatch):
 
 def test_cli_usage_error_returns_one():
     assert main(["lambda"]) == 1
+    assert main(["--threads", "2", "gen", "cyc"]) == 1
     assert main(["components", "/nonexistent/file.gr", "--k", "2"]) == 1
 
 

@@ -200,14 +200,13 @@ def test_amplified_failure_rate():
     assert fails <= trials / 8 + 3 * sigma
 
 
-def test_bfs_round_respects_cap(rng):
-    from kecc.local_search import _bfs_round
+def test_bfs_round_respects_cap():
     g = gen_kn(8)  # 56 edges, far above the round cap
     for cap in (3, 6, 11):
-        status, data = _bfs_round(ReversalOverlay(g), 1, 0, cap)
-        if status == "stopped":
-            eids, _pe, _pv = data
-            assert len(eids) <= cap
+        eids = []
+        _queue, _tree, hit, count = ReversalOverlay(g).bounded_bfs(
+            1, -1, cap, eids)
+        assert not hit and count == len(eids) == cap
 
 
 def test_amplified_finds_fixture():

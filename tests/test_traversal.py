@@ -1,0 +1,119 @@
+"""Property tests of the overlay traversal kernel against brute-force
+reachability, on plain graphs and on lazily contracted ones, each with
+random paths reversed."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kecc.digraph import Digraph, ReversalOverlay
+
+from conftest import random_walk
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def overlays(draw):
+    n = draw(st.integers(3, 8))
+    arcs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda a: a[0] != a[1]), max_size=24))
+    g = Digraph()
+    g.add_vertices(n)
+    for u, v in arcs:
+        g.add_edge(u, v)
+    if draw(st.booleans()):
+        members = draw(st.sets(st.integers(0, n - 1), min_size=2,
+                               max_size=n - 1))
+        g.contract_lazy(members, draw(st.sampled_from(sorted(members))))
+    ov = ReversalOverlay(g)
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 3))):
+        path = random_walk(g, ov, rng, draw(st.sampled_from(g.vertices())))
+        if path:
+            ov.reverse_path(path)
+    return ov
+
+
+def brute_reach(ov, src, backward=False):
+    arcs = [(ov.tail(e), ov.head(e)) for e in ov.g.edges()]
+    if backward:
+        arcs = [(y, x) for x, y in arcs]
+    seen = {src}
+    grown = True
+    while grown:
+        grown = False
+        for x, y in arcs:
+            if x in seen and y not in seen:
+                seen.add(y)
+                grown = True
+    return seen
+
+
+def assert_tree_path(ov, tree, src, dst):
+    """tree_path yields a walk from src to dst; the tree is checked first,
+    so that a broken one fails here instead of sending tree_path round a
+    cycle."""
+    y = dst
+    for _ in range(len(tree)):
+        if y == src:
+            break
+        assert tree[y] >= 0 and ov.head(tree[y]) == y
+        y = ov.tail(tree[y])
+    assert y == src
+    cur = src
+    for e in ov.tree_path(tree, src, dst):
+        assert ov.tail(e) == cur
+        cur = ov.head(e)
+    assert cur == dst
+
+
+@PROPERTY
+@given(overlays())
+def test_reach_matches_brute_force(ov):
+    for src in ov.g.vertices():
+        queue, tree, hit = ov.bfs(src)
+        assert not hit and len(set(queue)) == len(queue)
+        assert set(queue) == brute_reach(ov, src)
+        for y in queue:
+            assert_tree_path(ov, tree, src, y)
+        queue, _tree, hit = ov.bfs(src, backward=True)
+        assert not hit
+        assert set(queue) == brute_reach(ov, src, backward=True)
+
+
+@PROPERTY
+@given(overlays(), st.data())
+def test_target_stops_search(ov, data):
+    src, dst = data.draw(st.lists(st.sampled_from(ov.g.vertices()),
+                                  min_size=2, max_size=2, unique=True))
+    queue, tree, hit = ov.bfs(src, dst)
+    assert hit == (dst in brute_reach(ov, src))
+    assert dst not in queue
+    if hit:
+        assert_tree_path(ov, tree, src, dst)
+
+
+@PROPERTY
+@given(overlays(), st.data())
+def test_bounded_search_keeps_budget(ov, data):
+    verts = ov.g.vertices()
+    src = data.draw(st.sampled_from(verts))
+    target = data.draw(st.sampled_from([-1] + [v for v in verts if v != src]))
+    limit = data.draw(st.integers(0, 30))
+    scanned = []
+    queue, tree, hit, count = ov.bounded_bfs(src, target, limit, scanned)
+    assert count == len(scanned) <= limit
+    assert len(set(scanned)) == count
+    full, _tree, full_hit = ov.bfs(src, target)
+    assert queue == full[:len(queue)]
+    if hit:
+        assert full_hit
+        assert_tree_path(ov, tree, src, target)
+    elif count < limit:
+        # the search ran out of frontier, not of budget
+        assert queue == full and not full_hit
+        assert count == sum(1 for x in queue for _ in ov.succ(x))
