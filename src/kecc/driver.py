@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import math
 
-from .digraph import CutSet, GraphError
+from .digraph import GraphError
 from .decompose import decompose_kecc
-from .flow import flow_state, lambda_bounded, overlay_reach
+from .flow import flow_state, lambda_bounded
 from .local_search import EMPTY, MSetResult, amplified_mset, local_search_mset
 from .partitions import (Partition, good_partition_deficient,
                          good_partition_full, good_partition_low,
@@ -23,11 +23,6 @@ def sample_count(n_ord, delta, mode):
     with deterministic searches, ceil(sqrt(n) log2(4n/d)) with randomized."""
     base = 4.0 if mode == "rand" else 2.0
     return math.ceil(math.sqrt(n_ord) * math.log2(base * n_ord / delta))
-
-
-def search_repetitions(n_ord, delta):
-    """Randomized-search repetitions per vertex in the small-set pass."""
-    return max(1, math.ceil(math.log2(4 * n_ord / delta)))
 
 
 def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng,
@@ -44,8 +39,7 @@ def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng,
         lam_cache[v] = fs.value
         if fs.value != k + 1:
             return EMPTY
-        members = overlay_reach(fs.overlay, v)
-        return MSetResult.of(CutSet.compute(h, members))
+        return MSetResult.of(fs.minimal_side())
     lam = lambda_bounded(h, v, s, k + 2)
     lam_cache[v] = lam
     if lam >= k + 2:
@@ -91,10 +85,7 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
             if lam == k + 1:
                 parts.append(good_partition_full(h, v, s, k))
             elif lam == k:
-                if low:
-                    parts.append(good_partition_low(h, v, s))
-                else:
-                    parts.append(good_partition_deficient(h, v, s, k))
+                parts.append(good_partition_deficient(h, v, s, k))
             elif lam < k:
                 if not low:
                     raise GraphError(

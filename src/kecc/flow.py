@@ -28,15 +28,32 @@ class FlowState:
         self.source = source
         self.sink = sink
 
+    # The readers below need a maximum flow: a flow below its cap is one.
+    # Their results do not depend on which maximum flow was found.
 
-def overlay_reach(ov, src):
-    """Vertices reachable from src through the overlay."""
-    return set(ov.bfs(src)[0])
+    def minimal_side(self):
+        """The inclusion-wise minimum min-cut side: the residual reach of
+        the source."""
+        return CutSet.compute(self.overlay.g, self.overlay.bfs(self.source)[0])
 
+    def latest_side(self):
+        """The inclusion-wise maximum min-cut side: everything that cannot
+        reach the sink in the residual."""
+        g = self.overlay.g
+        blocked = set(self.overlay.bfs(self.sink, backward=True)[0])
+        return CutSet.compute(g, set(g.vertices()) - blocked)
 
-def overlay_co_reach(ov, dst):
-    """Vertices that reach dst through the overlay."""
-    return set(ov.bfs(dst, backward=True)[0])
+    def pq(self):
+        """The min-cut DAG representation (Picard-Queyranne graph).
+
+        Each unflipped parallel edge contributes its forward copy, each
+        flipped one only its backward copy (it is saturated), so the residual
+        adjacency is exactly the overlay view of the graph.
+        """
+        ov = self.overlay
+        universe = tuple(sorted(ov.g.vertices()))
+        succ = {x: [y for _e, y in ov.succ(x)] for x in universe}
+        return PQGraph(universe, succ, self.source, self.sink)
 
 
 def flow_state(g, src, dst, cap=None):
@@ -64,20 +81,13 @@ def lambda_bounded(g, u, v, cap):
 
 
 def minimal_mincut_side(g, v, s):
-    """The unique inclusion-wise minimum min-cut side containing v, not s:
-    the residual reach of v after a full (v, s)-max-flow."""
-    fs = flow_state(g, v, s, cap=None)
-    members = overlay_reach(fs.overlay, v)
-    return CutSet.compute(g, members)
+    """The unique inclusion-wise minimum min-cut side containing v, not s."""
+    return flow_state(g, v, s).minimal_side()
 
 
 def latest_mincut(g, v, s):
-    """The inclusion-wise maximum min-cut side containing v, excluding s:
-    everything that cannot reach s in the residual."""
-    fs = flow_state(g, v, s, cap=None)
-    blocked = overlay_co_reach(fs.overlay, s)
-    members = set(g.vertices()) - blocked
-    return CutSet.compute(g, members)
+    """The inclusion-wise maximum min-cut side containing v, excluding s."""
+    return flow_state(g, v, s).latest_side()
 
 
 class PQGraph:
@@ -201,14 +211,5 @@ def _tarjan(universe, succ):
 
 
 def pq_graph(g, v, s):
-    """Build the min-cut DAG representation for the (v, s)-max-flow.
-
-    Each unflipped parallel edge contributes its forward copy, each flipped
-    one only its backward copy (it is saturated), so the residual adjacency
-    is exactly the overlay view of the graph.
-    """
-    fs = flow_state(g, v, s, cap=None)
-    ov = fs.overlay
-    universe = tuple(sorted(g.vertices()))
-    succ = {x: [y for _e, y in ov.succ(x)] for x in universe}
-    return PQGraph(universe, succ, v, s)
+    """The min-cut DAG representation for the (v, s)-max-flow."""
+    return flow_state(g, v, s).pq()

@@ -88,8 +88,9 @@ def find_out_paths(ov, v, s, k, delta, budget=None):
         raise GraphError("need k >= 1 and delta >= 1")
     if budget is None:
         budget = SearchBudget((2 * k + 1) * (delta + 1))
-    # frames: [vertex, adjacency entries, next index, incoming tree edge]
-    stack = [[v, list(ov.succ(v)), 0, -1]]
+    # frames: (adjacency iterator, incoming tree edge); adjacency is read
+    # one entry per charged edge, never ahead of the budget
+    stack = [(ov.succ(v), -1)]
     visited = {v}
     collected = []
     seg_left = delta + 1
@@ -100,27 +101,24 @@ def find_out_paths(ov, v, s, k, delta, budget=None):
         if not stack:
             # nothing left to explore; later rounds could not add anything
             return collected
-        frame = stack[-1]
-        i = frame[2]
-        entries = frame[1]
-        if i >= len(entries):
+        entry = next(stack[-1][0], None)
+        if entry is None:
             stack.pop()
             if len(stack) < min_depth:
                 min_depth = len(stack)
             continue
-        frame[2] = i + 1
         budget.charge(1)
         seg_left -= 1
-        e, y = entries[i]
+        e, y = entry
         if y == s:
-            return [[f[3] for f in stack[1:]] + [e]]
+            return [[f[1] for f in stack[1:]] + [e]]
         if y not in visited:
             visited.add(y)
-            stack.append([y, list(ov.succ(y)), 0, e])
+            stack.append((ov.succ(y), e))
         if seg_left == 0:
             if in_round:
                 z_idx = min_depth - 1 if min_depth < pause_depth else pause_depth - 1
-                collected.append([stack[j][3] for j in range(1, z_idx + 1)])
+                collected.append([stack[j][1] for j in range(1, z_idx + 1)])
                 rounds_left -= 1
             if rounds_left == 0:
                 return collected

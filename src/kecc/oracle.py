@@ -38,11 +38,6 @@ class _Residual:
             self.adj[v].append(u)  # room for residual back-arcs
             self.cap.setdefault((v, u), 0)
 
-    def reset(self, base):
-        self.cap = dict(base)
-        for key in list(self.cap):
-            self.cap.setdefault((key[1], key[0]), 0)
-
     def augment(self, src, dst):
         parent = {src: None}
         queue = deque([src])

@@ -1,5 +1,16 @@
 """Vertex partitions: refinement algebra and the per-sample partition
 constructions used to separate vertices across large minimal out-sets.
+
+Every good partition comes from one recursion on one (v, s)-flow per query.
+For a target connectivity t and a maximum flow of value lam < t: at
+lam = t-1 the partition is the strongly connected components of the min-cut
+DAG; below that, the latest min cut is contracted into z, the
+(t-lam)-edge-connected components are taken with z's lam outgoing edges
+removed, and each exit head x != s is merged into z and gets one flow capped
+at t, whose value must exceed lam and, when it stays below t, drives the
+same recursion.  lam rises on every level, so the depth is at most t-lam,
+and the min-cut DAG and the latest min cut are the same for every maximum
+flow, so no flow is run twice.
 """
 
 from __future__ import annotations
@@ -156,6 +167,41 @@ def ecc_naive(g, c):
 
 # -- good partitions ----------------------------------------------------------
 
+def _good_partition(g, s, t, fs):
+    """Good partition for target connectivity t from fs, a (v, s)-flow of
+    value lam < t and hence a maximum one; the recursion of the module
+    docstring.  A merged exit head whose flow does not exceed lam means the
+    contracted cut was not the latest one."""
+    from .flow import flow_state
+    lam = fs.value
+    if lam == t - 1:
+        return fs.pq().partition()
+    universe = tuple(sorted(g.vertices()))
+    latest = fs.latest_side().members
+    gz, z = contract(g, latest, kind=AUX_KOUT)
+    to_gz = {u: (z if u in latest else u) for u in universe}
+    cut_edges = list(gz.out_edges(z))
+    stripped = gz.copy()
+    for e in cut_edges:
+        stripped.delete_edge(e)
+    parts = [pull_back(ecc_naive(stripped, t - lam), to_gz, universe)]
+    for e in cut_edges:
+        x = gz.head(e)
+        if x == s:
+            continue
+        gx, zx = contract(gz, {z, x}, kind=AUX_KOUT)
+        fx = flow_state(gx, zx, s, t)
+        if fx.value <= lam:
+            raise GraphError("latest mincut violated: contracted connectivity "
+                             f"{fx.value} not above {lam}")
+        if fx.value < t:
+            to_gx = {u: (zx if to_gz[u] in (z, x) else to_gz[u])
+                     for u in universe}
+            parts.append(pull_back(_good_partition(gx, s, t, fx), to_gx,
+                                   universe))
+    return refine_many(parts)
+
+
 def good_partition_full(g, v, s, k):
     """Partition for a sampled vertex at connectivity exactly k+1.
 
@@ -163,18 +209,11 @@ def good_partition_full(g, v, s, k):
     the (v, s)-max-flow refine no (k+2)-connected pair, and separate every
     ordinary u with v inside its minimal (k+1)-out set from vertices outside.
     """
-    from .flow import lambda_bounded, pq_graph
-    lam = lambda_bounded(g, v, s, k + 2)
-    if lam != k + 1:
-        raise GraphError(f"expected lambda(v,s)=k+1={k + 1}, found {lam}")
-    return pq_graph(g, v, s).partition()
-
-
-def _contract_with_head(g, z, x):
-    """Contract {z, x} and return (graph, new vertex, pullback mapping)."""
-    h, zi = contract(g, {z, x}, kind=AUX_KOUT)
-    mapping = {u: (zi if u in (z, x) else u) for u in g.vertices()}
-    return h, zi, mapping
+    from .flow import flow_state
+    fs = flow_state(g, v, s, k + 2)
+    if fs.value != k + 1:
+        raise GraphError(f"expected lambda(v,s)=k+1={k + 1}, found {fs.value}")
+    return _good_partition(g, s, k + 2, fs)
 
 
 def good_partition_deficient(g, v, s, k):
@@ -185,142 +224,34 @@ def good_partition_deficient(g, v, s, k):
     construction applied after merging z with each exit point that keeps
     connectivity k+1.
     """
-    from .flow import lambda_bounded, latest_mincut
-    lam = lambda_bounded(g, v, s, k + 1)
-    if lam != k:
-        raise GraphError(f"expected lambda(v,s)=k={k}, found {lam}")
-    universe = tuple(sorted(g.vertices()))
-    latest = latest_mincut(g, v, s)
-    gz, z = contract(g, latest.members, kind=AUX_KOUT)
-    to_gz = {u: (z if u in latest.members else u) for u in universe}
-    cut_edges = list(gz.out_edges(z))
-    stripped = gz.copy()
-    for e in cut_edges:
-        stripped.delete_edge(e)
-    parts = [pull_back(ecc_naive(stripped, 2), to_gz, universe)]
-    for e in cut_edges:
-        x = gz.head(e)
-        if x == s:
-            continue
-        gzi, zi, to_gzi = _contract_with_head(gz, z, x)
-        lam_i = lambda_bounded(gzi, zi, s, k + 2)
-        if lam_i <= k:
-            raise GraphError("latest mincut violated: contracted connectivity "
-                             f"dropped to {lam_i}")
-        if lam_i == k + 1:
-            q = good_partition_full(gzi, zi, s, k)
-            comp = {u: to_gzi[to_gz[u]] for u in universe}
-            parts.append(pull_back(q, comp, universe))
-    return refine_many(parts)
+    from .flow import flow_state
+    fs = flow_state(g, v, s, k + 2)
+    if fs.value != k:
+        raise GraphError(f"expected lambda(v,s)=k={k}, found {fs.value}")
+    return _good_partition(g, s, k + 2, fs)
 
 
 def good_partition_low(g, v, s):
     """Partition for a sampled vertex at connectivity 1 or 2 when computing
     4-edge-connected components of a graph whose ordinary vertices are
     3-edge-connected."""
-    from .flow import lambda_bounded, latest_mincut, pq_graph
-    lam = lambda_bounded(g, v, s, 3)
-    if lam > 2:
-        raise GraphError(f"expected lambda(v,s) <= 2, found >= {lam}")
-    if lam == 2:
-        return good_partition_deficient(g, v, s, 2)
-    universe = tuple(sorted(g.vertices()))
-    latest = latest_mincut(g, v, s)
-    gz, z = contract(g, latest.members, kind=AUX_KOUT)
-    to_gz = {u: (z if u in latest.members else u) for u in universe}
-    cut_edges = list(gz.out_edges(z))
-    stripped = gz.copy()
-    for e in cut_edges:
-        stripped.delete_edge(e)
-    parts = [pull_back(ecc_naive(stripped, 3), to_gz, universe)]
-    (e1,) = cut_edges
-    x1 = gz.head(e1)
-    if x1 != s:
-        gzi, zi, to_gzi = _contract_with_head(gz, z, x1)
-        lam_i = lambda_bounded(gzi, zi, s, 4)
-        if lam_i <= 1:
-            raise GraphError("latest mincut violated after contraction")
-        comp = {u: to_gzi[to_gz[u]] for u in universe}
-        if lam_i == 2:
-            q = good_partition_low(gzi, zi, s)
-            parts.append(pull_back(q, comp, universe))
-        elif lam_i == 3:
-            q = pq_graph(gzi, zi, s).partition()
-            parts.append(pull_back(q, comp, universe))
-    return refine_many(parts)
+    from .flow import flow_state
+    fs = flow_state(g, v, s, 4)
+    if fs.value > 2:
+        raise GraphError(f"expected lambda(v,s) <= 2, found >= {fs.value}")
+    if fs.value < 1:
+        raise GraphError(f"lambda({v},{s})=0: graph is not strongly connected")
+    return _good_partition(g, s, 4, fs)
 
 
-def _case_k_plus_1(g, z, s, k, universe, to_g, stats):
-    """Shared body for the (k+3) extension when the contracted vertex has
-    k+1 outgoing edges: 2-edge-connected components without those edges,
-    refined with min-cut DAG partitions after each exit -point merge."""
-    from .flow import lambda_bounded, pq_graph
-    cut_edges = list(g.out_edges(z))
-    stripped = g.copy()
-    for e in cut_edges:
-        stripped.delete_edge(e)
-    stats["subgraphs"] += 1
-    parts = [pull_back(ecc_naive(stripped, 2), to_g, universe)]
-    for e in cut_edges:
-        x = g.head(e)
-        if x == s:
-            continue
-        gi, zi, to_gi = _contract_with_head(g, z, x)
-        stats["subgraphs"] += 1
-        lam_i = lambda_bounded(gi, zi, s, k + 3)
-        if lam_i <= k + 1:
-            raise GraphError(f"contracted connectivity {lam_i} below k+2")
-        if lam_i == k + 2:
-            q = pq_graph(gi, zi, s).partition()
-            comp = {u: to_gi[to_g[u]] for u in universe}
-            parts.append(pull_back(q, comp, universe))
-    return parts
-
-
-def good_k3_partition(g, v, s, k, stats=None):
+def good_k3_partition(g, v, s, k):
     """Partition for a sampled vertex when refining one (k+2)-connected
     component into (k+3)-connected ones; handles lambda(v, s) in
-    {k, k+1, k+2} by the corresponding case split."""
-    from .flow import lambda_bounded, latest_mincut, pq_graph
-    if stats is None:
-        stats = {}
-    stats.setdefault("subgraphs", 0)
-    lam = lambda_bounded(g, v, s, k + 3)
-    if lam > k + 2:
-        raise GraphError(f"expected lambda(v,s) <= k+2, found >= {lam}")
-    if lam < k:
-        raise GraphError(f"lambda(v,s)={lam} below k={k}")
-    universe = tuple(sorted(g.vertices()))
-    if lam == k + 2:
-        return pq_graph(g, v, s).partition()
-    latest = latest_mincut(g, v, s)
-    gz, z = contract(g, latest.members, kind=AUX_KOUT)
-    stats["subgraphs"] += 1
-    to_gz = {u: (z if u in latest.members else u) for u in universe}
-    if lam == k + 1:
-        return refine_many(_case_k_plus_1(gz, z, s, k, universe, to_gz, stats))
-    # lam == k: 3-edge-connected components without the k cut edges, plus the
-    # recursively obtained case-(k+1)/(k+2) partitions per exit point.
-    cut_edges = list(gz.out_edges(z))
-    stripped = gz.copy()
-    for e in cut_edges:
-        stripped.delete_edge(e)
-    stats["subgraphs"] += 1
-    parts = [pull_back(ecc_naive(stripped, 3), to_gz, universe)]
-    for e in cut_edges:
-        x = gz.head(e)
-        if x == s:
-            continue
-        gzi, zi, to_gzi = _contract_with_head(gz, z, x)
-        stats["subgraphs"] += 1
-        lam_i = lambda_bounded(gzi, zi, s, k + 3)
-        if lam_i <= k:
-            raise GraphError(f"contracted connectivity {lam_i} not above k")
-        comp = {u: to_gzi[to_gz[u]] for u in universe}
-        if lam_i == k + 2:
-            q = pq_graph(gzi, zi, s).partition()
-            parts.append(pull_back(q, comp, universe))
-        elif lam_i == k + 1:
-            sub = _case_k_plus_1(gzi, zi, s, k, universe, comp, stats)
-            parts.extend(sub)
-    return refine_many(parts)
+    {k, k+1, k+2}."""
+    from .flow import flow_state
+    fs = flow_state(g, v, s, k + 3)
+    if fs.value > k + 2:
+        raise GraphError(f"expected lambda(v,s) <= k+2, found >= {fs.value}")
+    if fs.value < k:
+        raise GraphError(f"lambda(v,s)={fs.value} below k={k}")
+    return _good_partition(g, s, k + 3, fs)

@@ -8,8 +8,7 @@ import pytest
 from kecc.digraph import AUX_OTHER, GraphError
 from kecc.decompose import decompose_kecc
 from kecc.driver import (compute_4ecc_prepared, compute_k2ecc,
-                         compute_partition_single, sample_count,
-                         search_repetitions)
+                         compute_partition_single, sample_count)
 from kecc.flow import lambda_bounded
 from kecc.gen import (gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec,
                       sub_rng)
@@ -26,7 +25,6 @@ def test_sample_count_formula():
     assert sample_count(100, 0.5, "det") == 87
     assert sample_count(100, 0.5, "rand") == math.ceil(
         10 * math.log2(800))
-    assert search_repetitions(100, 0.5) == math.ceil(math.log2(800))
 
 
 def test_single_piece_from_blocks_decomposition():

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kecc.digraph import GraphError, ReversalOverlay, contract, induced
+from kecc.digraph import Digraph, GraphError, ReversalOverlay, contract, induced
 from kecc.flow import (flow_state, lambda_bounded, latest_mincut,
-                       minimal_mincut_side, overlay_reach, pq_graph)
+                       minimal_mincut_side, pq_graph)
 from kecc.gen import gen_blocks, gen_cyc, gen_kn
-from kecc.oracle import enumerate_separators, lambda_oracle, mset_oracle
+from kecc.oracle import (enumerate_separators, lambda_oracle, latest_oracle,
+                         mset_oracle)
 
 from conftest import overlay_to_digraph, random_strongly_connected, random_walk
 
@@ -83,7 +86,7 @@ def test_latest_boundary_reachability(rng):
                     if g.head(e) not in cut.members}
         sub, vmap = induced(g, cut.members)
         ov = ReversalOverlay(sub)
-        reach = overlay_reach(ov, vmap[v])
+        reach = set(ov.bfs(vmap[v])[0])
         assert {vmap[b] for b in boundary} <= reach
 
 
@@ -97,7 +100,7 @@ def test_include_outgoing_edge(rng):
         v, s = rng.sample(range(g.n_live), 2)
         cut = latest_mincut(g, v, s)
         sub, vmap = induced(g, cut.members)
-        reach_local = overlay_reach(ReversalOverlay(sub), vmap[v])
+        reach_local = ReversalOverlay(sub).bfs(vmap[v])[0]
         inv = {b: a for a, b in vmap.items()}
         reach = {inv[x] for x in reach_local}
         exits = {g.head(e) for u in cut.members for e in g.out_edges(u)
@@ -227,3 +230,41 @@ def test_flow_argument_validation():
         lambda_bounded(g, 1, 1, 3)
     with pytest.raises(GraphError):
         lambda_bounded(g, 0, 1, 0)
+
+
+@st.composite
+def flow_queries(draw):
+    """A small multigraph (not necessarily strongly connected), the same
+    graph with its edges added in another order, a source and a sink."""
+    n = draw(st.integers(2, 7))
+    arcs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda a: a[0] != a[1]), max_size=20))
+    graphs = []
+    for order in (arcs, draw(st.permutations(arcs))):
+        g = Digraph()
+        g.add_vertices(n)
+        for u, v in order:
+            g.add_edge(u, v)
+        graphs.append(g)
+    v, s = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                         unique=True))
+    return graphs, v, s
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(flow_queries(), st.integers(1, 3))
+def test_flow_readers_do_not_depend_on_the_flow(query, headroom):
+    # a capped flow below its cap is maximum, and the minimal side, the
+    # latest side and the min-cut DAG partition are the same for every
+    # maximum flow: here an uncapped one found in another edge order, and
+    # the oracle's own flow
+    (g, shuffled), v, s = query
+    other = flow_state(shuffled, v, s)
+    capped = flow_state(g, v, s, other.value + headroom)
+    assert capped.value == other.value
+    assert capped.minimal_side() == other.minimal_side()
+    assert capped.latest_side() == other.latest_side()
+    assert capped.pq().partition() == other.pq().partition()
+    assert capped.minimal_side() == mset_oracle(g, v, s, capped.value)
+    assert capped.latest_side() == latest_oracle(g, v, s)

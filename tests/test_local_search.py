@@ -36,7 +36,17 @@ def test_find_out_paths_escapes_small_set():
     assert any(end != 1 for end in ends)
 
 
-def test_find_out_paths_budget_instrumented(rng):
+def test_find_out_paths_budget_instrumented(rng, monkeypatch):
+    # adjacency is read only as far as the budget charges for it
+    read = [0]
+    succ = ReversalOverlay.succ
+
+    def counted(ov, x):
+        for entry in succ(ov, x):
+            read[0] += 1
+            yield entry
+
+    monkeypatch.setattr(ReversalOverlay, "succ", counted)
     with SearchBudget.capture() as log:
         for _ in range(60):
             g = random_strongly_connected(rng, rng.randrange(3, 9),
@@ -47,6 +57,7 @@ def test_find_out_paths_budget_instrumented(rng):
             find_out_paths(ReversalOverlay(g), v, s, k, delta)
     assert log
     assert all(b.explored <= b.limit for b in log)
+    assert read[0] == sum(b.explored for b in log)
 
 
 def test_find_out_paths_returns_at_most_2k(rng):

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from kecc.digraph import CutSet, GraphError
+import kecc.flow
+import kecc.partitions
+from kecc.digraph import CutSet, Digraph, GraphError, contract
 from kecc.flow import lambda_bounded
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn
 from kecc.local_search import EMPTY, MSetResult
-from kecc.oracle import ecc_components, mset_oracle, mutually_connected, BOTTOM
+from kecc.oracle import (BOTTOM, ecc_components, latest_oracle, mset_oracle,
+                         mutually_connected)
 from kecc.partitions import (Partition, ecc_naive, good_k3_partition,
                              good_partition_deficient, good_partition_full,
                              good_partition_low, partition_from_msets,
@@ -19,6 +22,18 @@ from conftest import planted_deficient, random_strongly_connected
 
 def blocks_of(p):
     return [tuple(b) for b in p.blocks()]
+
+
+def count_contractions(monkeypatch):
+    """Count the graphs the good-partition constructions contract."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(kecc.partitions, "contract", counted)
+    return calls
 
 
 def test_refine_identities():
@@ -147,6 +162,28 @@ def test_good_partition_deficient_planted_contract():
                 assert part.same_block(a, b)
 
 
+def test_good_partition_deficient_one_flow_per_exit_head(monkeypatch):
+    g, v, s = planted_deficient()
+    latest = latest_oracle(g, v, s).members
+    heads = [g.head(e) for u in latest for e in g.out_edges(u)
+             if g.head(e) not in latest and g.head(e) != s]
+    assert heads
+    flows = [0]
+    real = kecc.flow.flow_state
+
+    def counted(*args, **kwargs):
+        flows[0] += 1
+        return real(*args, **kwargs)
+
+    # the component split runs its own pairwise flows; the oracle's runs none
+    monkeypatch.setattr(kecc.flow, "flow_state", counted)
+    monkeypatch.setattr(kecc.partitions, "ecc_naive", ecc_components)
+    part = good_partition_deficient(g, v, s, 2)
+    assert flows[0] == 1 + len(heads)
+    monkeypatch.undo()
+    assert part == good_partition_deficient(g, v, s, 2)
+
+
 def test_good_partition_low_delegates_at_two():
     g = gen_blocks(6, 6, 2)
     assert good_partition_low(g, 7, 1) == good_partition_deficient(g, 7, 1, 2)
@@ -178,17 +215,17 @@ def test_good_k3_top_case_is_full():
     assert good_k3_partition(g, 6, 1, 2) == want
 
 
-def test_good_k3_three_block_chain():
+def test_good_k3_three_block_chain(monkeypatch):
     g = gen_chain(3, 4, 1)
     s = 0
     v = 4  # second block; lambda(v, s) = 2 = k+1 for k=1
     assert lambda_bounded(g, v, s, 4) == 2
-    stats = {}
-    part = good_k3_partition(g, v, s, 1, stats=stats)
+    calls = count_contractions(monkeypatch)
+    part = good_k3_partition(g, v, s, 1)
     for u in range(4, 12):
         for w in range(4):
             assert not part.same_block(u, w)
-    assert stats["subgraphs"] <= 2 * (1 + 2) ** 2
+    assert 0 < calls[0] <= 2 * (1 + 2) ** 2
 
 
 def test_good_k3_deficient_case():
@@ -205,7 +242,27 @@ def test_good_k3_deficient_case():
         assert not part.same_block(v, w)
 
 
-def test_good_k3_subgraph_budget(rng):
+def test_good_k3_merged_exit_head_below_k_plus_2():
+    # lambda(0, 3) = 1 = k; merging the latest cut with its exit head 1
+    # leaves connectivity k+1, where the construction must again contract
+    # that vertex's latest min cut (this input once raised GraphError).  The
+    # graph has no 4-connected pair, so the check is that the call returns;
+    # tests/test_golden.py checks such cases that do have pairs
+    g = Digraph()
+    g.add_vertices(4)
+    for u, w in ((3, 0), (0, 1), (1, 2), (2, 3), (1, 3), (3, 1)):
+        g.add_edge(u, w)
+    k = 1
+    assert lambda_bounded(g, 0, 3, k + 3) == k
+    part = good_k3_partition(g, 0, 3, k)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            if mutually_connected(g, a, b, k + 3):
+                assert part.same_block(a, b), (a, b)
+
+
+def test_good_k3_subgraph_budget(rng, monkeypatch):
+    calls = count_contractions(monkeypatch)
     done = 0
     while done < 10:
         g = random_strongly_connected(rng, rng.randrange(4, 9),
@@ -215,9 +272,9 @@ def test_good_k3_subgraph_budget(rng):
         lam = lambda_bounded(g, v, s, k + 3)
         if not k <= lam <= k + 2:
             continue
-        stats = {}
-        good_k3_partition(g, v, s, k, stats=stats)
-        assert stats["subgraphs"] <= 2 * (k + 2) ** 2
+        calls[0] = 0
+        good_k3_partition(g, v, s, k)
+        assert calls[0] <= 2 * (k + 2) ** 2
         done += 1
 
 
