@@ -105,7 +105,7 @@ def _cmd_decompose(args):
 def _cmd_components(args):
     g = _read_graph(args.graph)
     rng = sub_rng(args.seed, "components")
-    s = args.s_override - 1 if args.s_override else None
+    s = None if args.s_override is None else args.s_override - 1
     part = compute_k2ecc(g, args.k, args.delta, args.mode, rng, s=s)
     text = partition_to_json(part, g.ordinary_vertices(), k=args.k,
                              mode=args.mode, seed=args.seed, delta=args.delta)

@@ -34,14 +34,8 @@ class ProperOrder:
     def non_bottom(self):
         return [(m, c) for (m, c) in self.classes if c is not None]
 
-    def bottom_members(self):
-        for members, cut in self.classes:
-            if cut is None:
-                return members
-        return []
 
-
-def proper_order(g, s, k, ordinary=None, debug=False):
+def proper_order(g, s, k):
     """Group vertices by their minimal k-out set avoiding s, in an order
     consistent with containment of those sets.
 
@@ -49,11 +43,9 @@ def proper_order(g, s, k, ordinary=None, debug=False):
     cardinality rules out strict containment, so ordering by (size, smallest
     member) is always a valid proper order.
     """
-    if ordinary is None:
-        ordinary = g.ordinary_vertices()
     by_set = {}
     bottom = []
-    for v in sorted(ordinary):
+    for v in g.ordinary_vertices():
         if v == s:
             bottom.append(v)
             continue
@@ -69,10 +61,6 @@ def proper_order(g, s, k, ordinary=None, debug=False):
     classes = [(members, CutSet.compute(g, key))
                for key, members in by_set.items()]
     classes.sort(key=lambda mc: (len(mc[1].members), min(mc[1].members)))
-    if debug:
-        for i, (_m1, c1) in enumerate(classes):
-            for _m2, c2 in classes[i + 1:]:
-                assert not c2.members < c1.members, "order violates containment"
     classes.append((bottom, None))
     return ProperOrder(classes)
 
@@ -83,7 +71,9 @@ class DecompPiece:
     they came from."""
 
     graph: Digraph
-    orig: list  # per-vertex original id, or None for auxiliary vertices
+    # per-vertex original id: a contracted set carries its representative's,
+    # a contracted complement None
+    orig: list
     ordinary: list = field(default_factory=list)  # original ids
     provenance: tuple = (0, 0)
 
@@ -125,39 +115,50 @@ def _find_min_out_set(gev, v, s, k, m0, mode, reps, rng):
         delta *= 2
 
 
-def _phase(g, s, k, m0, mode, reps, rng, check=False):
-    """One phase: process classes in proper order on an evolving copy of g.
+def _pull(orig, vmap, h):
+    """Original ids of h's vertices, where vmap sends the vertices of a graph
+    with original ids orig into h; vertices of h outside vmap get None."""
+    pulled = [None] * h.n_slots()
+    for old, new in vmap.items():
+        pulled[new] = orig[old]
+    return pulled
 
-    Returns (pieces, remainder) where each piece is (graph, vmap, vbar,
-    class-members) with vmap sending evolving-graph ids into the piece, and
-    remainder is the materialized leftover graph containing s.
+
+def _phase(g, orig, s, k, m0, mode, reps, rng):
+    """One phase: process classes in proper order on an evolving copy of g,
+    whose vertices have original ids orig.
+
+    Returns [(graph, orig, start)]: the side graph of each class, started at
+    its contracted complement, then the materialized remainder, started at s.
+    Raises DecompositionError when a found set's ordinary vertices are not
+    exactly its class.
     """
     order = proper_order(g, s, k)
     gev = g.copy()
     gev.enable_lazy()
     out = []
-    for members, cut in order.non_bottom():
-        v = members[0]
-        found = _find_min_out_set(gev, v, s, k, m0, mode, reps, rng)
-        if check:
-            ordinary_found = {u for u in found if gev.kind[u] == ORDINARY}
-            assert ordinary_found == set(members), \
-                "found set's ordinary vertices differ from the class"
+    for members, _cut in order.non_bottom():
+        found = _find_min_out_set(gev, members[0], s, k, m0, mode, reps, rng)
+        if {u for u in found if gev.kind[u] == ORDINARY} != set(members):
+            raise DecompositionError(
+                f"set found for vertex {members[0]} is not its class")
         aux = contract_complement_reduced(gev, found, k)
-        out.append((aux.graph, aux.vmap, aux.vbar, members))
-        rep = min(found)
-        gev.contract_lazy(found, rep, kind=AUX_KOUT)
+        out.append((aux.graph, _pull(orig, aux.vmap, aux.graph), aux.vbar))
+        gev.contract_lazy(found, min(found), kind=AUX_KOUT)
     remainder, rmap = materialize(gev)
-    return out, (remainder, rmap, order.bottom_members())
+    out.append((remainder, _pull(orig, rmap, remainder), rmap[s]))
+    return out
 
 
-def decompose_kecc(g, k, delta, mode="det", rng=None, s=None, check=False):
+def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
     """Split a k-edge-connected digraph into pieces whose ordinary vertices
     are exactly the (k+1)-edge-connected components.
 
     mode "det" uses the deterministic local search; "rand" repeats the
     randomized one ceil(log2(2n/delta)) times per budget probe.  A missed
     set aborts with DecompositionError rather than returning a wrong answer.
+    The first phase runs on g from s (default: the smallest live vertex),
+    the second on the reverse of each of its outputs.
     """
     if mode not in ("det", "rand"):
         raise GraphError(f"unknown mode {mode!r}")
@@ -165,47 +166,21 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None, check=False):
         raise GraphError("rand mode needs an rng")
     if not 0 < delta < 1:
         raise GraphError("delta must be in (0, 1)")
-    n0 = g.n_live
-    m0 = max(1, g.m_live)
-    reps = max(1, math.ceil(math.log2(2 * n0 / delta)))
     live = g.vertices()
     if s is None:
         s = min(live)
+    elif not g.is_live(s):
+        raise GraphError(f"start vertex {s} is not live")
+    m0 = max(1, g.m_live)
+    reps = max(1, math.ceil(math.log2(2 * len(live) / delta)))
 
     base, base_map = materialize(g)
-    inv = {new: old for old, new in base_map.items()}
-    s1 = base_map[s]
-
-    phase1, (rem, rmap, _bottom) = _phase(base, s1, k, m0, mode, reps, rng,
-                                          check)
-    stage = []
-    for idx, (h, vmap, vbar, _members) in enumerate(phase1):
-        orig = [None] * h.n_slots()
-        for old, new in vmap.items():
-            orig[new] = inv.get(old)
-        stage.append((h, orig, vbar, idx))
-    rem_orig = [None] * rem.n_slots()
-    for old, new in rmap.items():
-        rem_orig[new] = inv.get(old)
-    stage.append((rem, rem_orig, rmap[s1], len(phase1)))
-
+    phase1 = _phase(base, live, base_map[s], k, m0, mode, reps, rng)
     pieces = []
-    for h, orig, start, idx in stage:
-        hr = h.reversed()
-        m1 = max(1, hr.m_live)
-        sub, (sub_rem, sub_rmap, _b) = _phase(hr, start, k, m1, mode, reps,
-                                              rng, check)
-        parts = []
-        for hh, vmap, _vbar, _members in sub:
-            sub_orig = [None] * hh.n_slots()
-            for old, new in vmap.items():
-                sub_orig[new] = orig[old]
-            parts.append((hh, sub_orig))
-        rem2_orig = [None] * sub_rem.n_slots()
-        for old, new in sub_rmap.items():
-            rem2_orig[new] = orig[old]
-        parts.append((sub_rem, rem2_orig))
-        for jdx, (hh, sub_orig) in enumerate(parts):
+    for idx, (h, orig, start) in enumerate(phase1):
+        phase2 = _phase(h.reversed(), orig, start, k, max(1, h.m_live), mode,
+                        reps, rng)
+        for jdx, (hh, sub_orig, _start) in enumerate(phase2):
             piece = DecompPiece(hh.reversed(), sub_orig, provenance=(idx, jdx))
             if piece.ordinary:
                 pieces.append(piece)

@@ -120,7 +120,6 @@ class Digraph:
         self.n_live = 0
         self.m_live = 0
         self.dsu = None
-        self.contraction_log = []
         self._version = 0
         self._adj_cache = {}
 
@@ -142,6 +141,13 @@ class Digraph:
 
     def add_vertices(self, count, kind=ORDINARY):
         return [self.add_vertex(kind) for _ in range(count)]
+
+    def set_ordinary(self, members):
+        """Make exactly the given vertices ordinary; every other live vertex
+        becomes auxiliary."""
+        marked = set(members)
+        for v in self.vertices():
+            self.kind[v] = ORDINARY if v in marked else AUX_OTHER
 
     def add_edge(self, tail, head, copies=1):
         if copies < 1:
@@ -336,7 +342,6 @@ class Digraph:
             d.rank = self.dsu.rank[:]
             d.label = self.dsu.label[:]
             g.dsu = d
-        g.contraction_log = list(self.contraction_log)
         return g
 
     def reversed(self):
@@ -392,7 +397,6 @@ class Digraph:
                 self.v_alive[u] = False
                 self.n_live -= 1
         self.kind[rep] = kind
-        self.contraction_log.append((rep, frozenset(memb)))
         return rep
 
     def check(self):
@@ -621,6 +625,19 @@ class ReversalOverlay:
             dst = self.tail(e)
         path.reverse()
         return path
+
+
+def from_arcs(n, arcs, ordinary=None):
+    """Graph on vertices 0..n-1 with an edge of multiplicity mult for every
+    (u, v, mult) arc; when ordinary is given, only those vertices are
+    ordinary."""
+    g = Digraph()
+    g.add_vertices(n)
+    for u, v, mult in arcs:
+        g.add_edge(u, v, copies=mult)
+    if ordinary is not None:
+        g.set_ordinary(ordinary)
+    return g
 
 
 # -- set measures -----------------------------------------------------------

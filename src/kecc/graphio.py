@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .digraph import AUX_OTHER, ORDINARY, Digraph
+from .digraph import from_arcs
 from .partitions import Partition
 
 FORMAT_NAME = "kecc-partition-v1"
@@ -64,7 +64,7 @@ def parse_graph(text):
                 raise GraphFormatError(line_no, "self-loop rejected")
             if mult < 1:
                 raise GraphFormatError(line_no, "multiplicity must be >= 1")
-            arcs.append((u - 1, v - 1, mult, line_no))
+            arcs.append((u - 1, v - 1, mult))
         elif tag == "o":
             if n is None:
                 raise GraphFormatError(line_no, "mark before header")
@@ -79,18 +79,10 @@ def parse_graph(text):
             raise GraphFormatError(line_no, f"unknown line tag {tag!r}")
     if n is None:
         raise GraphFormatError(1, "missing 'p kec' header")
-    total = sum(mult for _u, _v, mult, _ln in arcs)
+    total = sum(mult for _u, _v, mult in arcs)
     if total != m:
         raise GraphFormatError(1, f"header claims m={m}, arcs sum to {total}")
-    g = Digraph()
-    g.add_vertices(n)
-    for u, v, mult, _ln in arcs:
-        g.add_edge(u, v, copies=mult)
-    if marks:
-        marked = set(marks)
-        for v in range(n):
-            g.kind[v] = ORDINARY if v in marked else AUX_OTHER
-    return g
+    return from_arcs(n, arcs, marks or None)
 
 
 def write_graph(g, comment=None):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 
-from .digraph import Digraph, GraphError, ORDINARY, AUX_OTHER
+from .digraph import Digraph, GraphError, from_arcs
 
 
 class NotFittedError(ValueError, AttributeError):
@@ -46,7 +46,10 @@ def as_digraph(X, ordinary=None):
     `ordinary` optionally restricts which vertices carry component claims.
     """
     if isinstance(X, Digraph):
-        g = X if ordinary is None else X.copy()
+        g = X
+        if ordinary is not None:
+            g = X.copy()
+            g.set_ordinary(ordinary)
     else:
         if isinstance(X, tuple) and len(X) == 2 and isinstance(X[0], int):
             n, edges = X
@@ -63,14 +66,7 @@ def as_digraph(X, ordinary=None):
             arcs.append((_integer(u), _integer(v), _integer(mult)))
         if n is None:
             n = max((max(u, v) + 1 for u, v, _ in arcs), default=0)
-        g = Digraph()
-        g.add_vertices(n)
-        for u, v, mult in arcs:
-            g.add_edge(u, v, copies=mult)
-    if ordinary is not None:
-        marked = set(ordinary)
-        for v in g.vertices():
-            g.kind[v] = ORDINARY if v in marked else AUX_OTHER
+        g = from_arcs(n, arcs, ordinary)
     if g.n_live == 0:
         raise GraphError("empty graph")
     return g

@@ -212,7 +212,7 @@ def test_c7_decomposition_contract(corpus):
         from kecc.local_search import EMPTY
         verified = 0
         for name, g, k in corpus:
-            pieces = decompose_kecc(g, k, 0.2, "det", check=True)
+            pieces = decompose_kecc(g, k, 0.2, "det")
             n, m = g.n_live, g.m_live
             total_v = sum(p.graph.n_live for p in pieces)
             total_e = sum(p.graph.m_live for p in pieces)

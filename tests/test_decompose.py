@@ -3,14 +3,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kecc.decompose as dc
 from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
                             verify_decomposition)
-from kecc.digraph import AUX_KOUT, GraphError, materialize, out_of
-from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
-from kecc.local_search import EMPTY
+from kecc.digraph import AUX_KOUT, CutSet, GraphError, materialize, out_of
+from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
+from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import enumerate_separators, mutually_connected
+
+from conftest import fingerprint
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
+                    database=None)
 
 
 def test_proper_order_kn():
@@ -42,7 +49,7 @@ def test_proper_order_respects_containment(rng):
         n = rng.randrange(5, 11)
         k = rng.randrange(1, 3)
         g = gen_random_kec(n, k, rng.randrange(0, n), rng.randrange(10**6))
-        po = proper_order(g, 0, k, debug=True)
+        po = proper_order(g, 0, k)
         non_bottom = po.non_bottom()
         for i, (_m1, c1) in enumerate(non_bottom):
             for _m2, c2 in non_bottom[:i]:
@@ -64,7 +71,7 @@ def test_decompose_kn_single_piece():
 
 def test_decompose_blocks_fixture():
     g = gen_blocks(5, 5, 2)
-    pieces = decompose_kecc(g, 2, 0.1, "det", check=True)
+    pieces = decompose_kecc(g, 2, 0.1, "det")
     ords = sorted(tuple(sorted(p.ordinary)) for p in pieces)
     assert ords == [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
     report = verify_decomposition(g, pieces, 2)
@@ -73,7 +80,7 @@ def test_decompose_blocks_fixture():
 
 def test_decompose_cycle_all_classes():
     g = gen_cyc(6, 2)
-    pieces = decompose_kecc(g, 2, 0.1, "det", check=True)
+    pieces = decompose_kecc(g, 2, 0.1, "det")
     placed = sorted(o for p in pieces for o in p.ordinary)
     assert placed == list(range(6))
     report = verify_decomposition(g, pieces, 2)
@@ -93,7 +100,7 @@ def test_decompose_random_sweep(rng):
         k = rng.randrange(1, 4)
         g = gen_random_kec(n, k, rng.randrange(0, 2 * n),
                            rng.randrange(10**6))
-        pieces = decompose_kecc(g, k, 0.1, "det", check=True)
+        pieces = decompose_kecc(g, k, 0.1, "det")
         report = verify_decomposition(g, pieces, k)
         assert report.ok, report.failures
 
@@ -152,6 +159,59 @@ def test_decompose_late_success_detected(monkeypatch, rng):
 def test_decompose_rejects_bad_input():
     with pytest.raises(GraphError):
         decompose_kecc(gen_cyc(4, 1), 2, 0.1, "det")  # only 1-edge-connected
+
+
+def test_decompose_rejects_dead_start():
+    g = gen_kn(4)
+    for s in (99, -1):
+        with pytest.raises(GraphError, match="not live"):
+            decompose_kecc(g, 2, 0.1, "det", s=s)
+
+
+def test_decompose_class_check_always_on(monkeypatch):
+    # a valid k-out set that swallows the next class is rejected, not used
+    real = dc.local_search_mset
+
+    def widened(g, v, s, k, delta):
+        if v == 1:
+            return MSetResult.of(CutSet.compute(g, {1, 2}))
+        return real(g, v, s, k, delta)
+
+    g = gen_cyc(6, 2)
+    assert out_of(g, {1, 2}) == 2
+    monkeypatch.setattr(dc, "local_search_mset", widened)
+    with pytest.raises(DecompositionError, match="not its class"):
+        decompose_kecc(g, 2, 0.1, "det")
+
+
+@st.composite
+def planted_graphs(draw):
+    """Small k-edge-connected graphs with planted structure: unions of k
+    Hamiltonian cycles with a few extra arcs, or cycles of complete blocks."""
+    k = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 8))
+        return gen_random_kec(n, k, draw(st.integers(0, n)),
+                              draw(st.integers(0, 10**6))), k
+    # blocks joined by one arc each way are 2-out sets: classes at k=2
+    return gen_chain(draw(st.integers(2, 4)), draw(st.integers(3, 4)), 1), k
+
+
+@PROPERTY
+@given(planted_graphs(), st.integers(0, 2**32 - 1))
+def test_decompose_planted_property(case, seed):
+    g, k = case
+    before = fingerprint(g)
+    report = verify_decomposition(g, decompose_kecc(g, k, 0.1, "det"), k)
+    assert report.ok, report.failures
+    try:
+        pieces = decompose_kecc(g, k, 0.1, "rand", random.Random(seed))
+    except DecompositionError:
+        pass  # an allowed rand-mode outcome; a wrong answer is not
+    else:
+        report = verify_decomposition(g, pieces, k)
+        assert report.ok, report.failures
+    assert fingerprint(g) == before
 
 
 def test_verify_negative_control():
@@ -219,7 +279,7 @@ def _subsets_separating(g, members, x, y, k):
 
 
 def test_persisting_out_sets_pull_back(rng):
-    # k-out sets of the evolving graph expand through the contraction log to
+    # k-out sets of the evolving graph expand through the contraction map to
     # k-out sets of the original graph
     done = 0
     while done < 8:
@@ -236,14 +296,9 @@ def test_persisting_out_sets_pull_back(rng):
         members, cut = non_bottom[0]
         gev.contract_lazy(cut.members, min(cut.members), kind=AUX_KOUT)
         snap, vmap = materialize(gev)
-        inv = {b: a for a, b in vmap.items()}
-        expand = {}
-        log = dict(gev.contraction_log)
-        for old in gev.vertices():
-            grp = {old}
-            if old in log:
-                grp = set(log[old])
-            expand[vmap[old]] = grp
+        expand = {vmap[old]: {u for u in g.vertices()
+                              if gev.resolve(u) == old}
+                  for old in gev.vertices()}
         for local_set in enumerate_separators(snap, vmap[gev.resolve(1 if s == 0 else 0)], vmap[s], k) \
                 if snap.n_live <= 12 else []:
             original = set()

@@ -132,6 +132,17 @@ def test_cli_decompose_and_errors(tmp_path, capsys, monkeypatch):
     assert main(["decompose", str(graph), "--k", "2"]) == 2
 
 
+def test_cli_components_rejects_bad_start(tmp_path, capsys):
+    # --s-override is 1-based: 0 and ids past n are input errors
+    graph = tmp_path / "g.gr"
+    main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",
+          str(graph)])
+    for s in ("0", "99"):
+        assert main(["components", str(graph), "--k", "2",
+                     "--s-override", s]) == 1
+        assert "not live" in capsys.readouterr().err
+
+
 def test_cli_components_rand_seeded(tmp_path):
     graph = tmp_path / "g.gr"
     main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",
