@@ -105,7 +105,11 @@ def _cmd_decompose(args):
 def _cmd_components(args):
     g = _read_graph(args.graph)
     rng = sub_rng(args.seed, "components")
-    s = None if args.s_override is None else args.s_override - 1
+    s = None
+    if args.s_override is not None:
+        s = args.s_override - 1
+        if not g.is_live(s):
+            raise GraphError(f"start vertex {args.s_override} is not live")
     part = compute_k2ecc(g, args.k, args.delta, args.mode, rng, s=s)
     text = partition_to_json(part, g.ordinary_vertices(), k=args.k,
                              mode=args.mode, seed=args.seed, delta=args.delta)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .digraph import (AUX_KOUT, ORDINARY, CutSet, Digraph, GraphError,
+from .digraph import (AUX_KOUT, ORDINARY, Digraph, GraphError,
                       contract_complement_reduced, materialize, vol_of)
 from .flow import lambda_bounded, minimal_mincut_side
 from .local_search import local_search_mset, randomized_local_search_mset
@@ -29,7 +29,7 @@ class ProperOrder:
     """Classes of vertices sharing one minimal k-out set, ordered so that a
     class with a strictly smaller set comes first; the no-set class is last."""
 
-    classes: list  # (members ascending, CutSet | None), None last
+    classes: list  # (members ascending, frozenset k-out set | None), None last
 
     def non_bottom(self):
         return [(m, c) for (m, c) in self.classes if c is not None]
@@ -58,9 +58,8 @@ def proper_order(g, s, k):
                 f"graph is not {k}-edge-connected: lambda({v},{s})={lam}")
         cut = minimal_mincut_side(g, v, s)
         by_set.setdefault(cut.members, []).append(v)
-    classes = [(members, CutSet.compute(g, key))
-               for key, members in by_set.items()]
-    classes.sort(key=lambda mc: (len(mc[1].members), min(mc[1].members)))
+    classes = [(members, key) for key, members in by_set.items()]
+    classes.sort(key=lambda mc: (len(mc[1]), min(mc[1])))
     classes.append((bottom, None))
     return ProperOrder(classes)
 

@@ -451,8 +451,9 @@ class ReversalOverlay:
 
     Traversal through the overlay sees edge (x, y) as (y, x) when flipped.
     The base graph is never touched; undo_all / rewind restore the overlay to
-    an earlier journal mark exactly.  bfs and bounded_bfs are the one
-    breadth-first kernel that flows and local searches walk the overlay with.
+    an earlier journal mark exactly.  Flows find augmenting paths with the
+    two-sided search augmenting_path and read residual reach with bfs; local
+    searches walk the overlay with bounded_bfs.
     """
 
     def __init__(self, g):
@@ -546,18 +547,11 @@ class ReversalOverlay:
         g = self.g
         return None if g.dsu is not None else g.adjacency(backward)
 
-    def bfs(self, src, target=-1, backward=False):
-        """Breadth-first search from src over successors, or predecessors
-        when backward, stopping as soon as target is discovered.
-
-        Returns (queue, tree, hit): the vertices in discovery order, the edge
-        each discovered vertex was reached by (-1 for src and undiscovered
-        vertices), and whether target was discovered.
-        """
-        n = len(self.g.kind)
-        visited = bytearray(n)
+    def bfs(self, src, backward=False):
+        """Vertices reachable from src over successors, or predecessors when
+        backward, in breadth-first discovery order."""
+        visited = bytearray(len(self.g.kind))
         visited[src] = 1
-        tree = [-1] * n
         queue = [src]
         dirty = self.dirty
         step = self.pred if backward else self.succ
@@ -568,23 +562,73 @@ class ReversalOverlay:
                 adj = zip(flat, flat)  # consecutive (edge, end) pairs
             else:
                 adj = step(x)
-            for e, y in adj:
-                if visited[y]:
+            for _e, y in adj:
+                if not visited[y]:
+                    visited[y] = 1
+                    queue.append(y)
+        return queue
+
+    def augmenting_path(self, src, dst):
+        """Edges of a path from src to dst (src != dst) in walk order, or
+        None when dst is unreachable.
+
+        A forward search from src and a backward one from dst expand one
+        vertex each in turn and stop as soon as they meet, or as soon as
+        either runs out.  A vertex is seen by at most one side, so the two
+        tree paths and the meeting edge form a simple path.
+        """
+        n = len(self.g.kind)
+        fseen = bytearray(n)
+        bseen = bytearray(n)
+        fseen[src] = 1
+        bseen[dst] = 1
+        tree = [-1] * n  # edge each vertex was seen by, toward its side's root
+        fq = [src]
+        bq = [dst]
+        dirty = self.dirty
+        fsnap = self._snapshot()
+        bsnap = self._snapshot(True)
+        # zip draws the next vertex of each growing queue per turn and ends
+        # when either queue has none left
+        for x, y in zip(fq, bq):
+            if fsnap is not None and x not in dirty:
+                flat = iter(fsnap[x])
+                adj = zip(flat, flat)
+            else:
+                adj = self.succ(x)
+            for e, z in adj:
+                if fseen[z]:
                     continue
-                visited[y] = 1
-                tree[y] = e
-                if y == target:
-                    return queue, tree, True
-                queue.append(y)
-        return queue, tree, False
+                if bseen[z]:
+                    return self._join(tree, src, x, e, z, dst)
+                fseen[z] = 1
+                tree[z] = e
+                fq.append(z)
+            if bsnap is not None and y not in dirty:
+                flat = iter(bsnap[y])
+                adj = zip(flat, flat)
+            else:
+                adj = self.pred(y)
+            for e, z in adj:
+                if bseen[z]:
+                    continue
+                if fseen[z]:
+                    return self._join(tree, src, z, e, y, dst)
+                bseen[z] = 1
+                tree[z] = e
+                bq.append(z)
+        return None
 
     def bounded_bfs(self, src, target, limit, scanned=None):
         """Forward breadth-first search from src that scans at most limit
         edges and stops when an edge into target is scanned.
 
-        Returns (queue, tree, hit, count) like bfs, plus the number of edges
-        scanned; the ids of scanned edges are appended to scanned if given.
-        Adjacency is read lazily, so no edge past the limit is touched.
+        Returns (queue, tree, hit, count): the vertices in discovery order,
+        the edge each discovered vertex was reached by (-1 for src and
+        undiscovered vertices), whether target was hit, and the number of
+        edges scanned; the ids of scanned edges are appended to scanned if
+        given.  Adjacency is read lazily, so no edge past the limit is
+        touched.
         """
         n = len(self.g.kind)
         visited = bytearray(n)
@@ -624,6 +668,18 @@ class ReversalOverlay:
             path.append(e)
             dst = self.tail(e)
         path.reverse()
+        return path
+
+    def _join(self, tree, src, x, e, y, dst):
+        """The path src ~> x -> y ~> dst of augmenting_path, where the
+        forward tree reaches x, e runs from x to y and the backward tree
+        leads from y."""
+        path = self.tree_path(tree, src, x)
+        path.append(e)
+        while y != dst:
+            e = tree[y]
+            path.append(e)
+            y = self.head(e)
         return path
 
 

@@ -4,7 +4,11 @@ of all minimum cuts (Picard-Queyranne graph).
 
 Each parallel edge is its own unit-capacity channel, so pushing one unit of
 flow along a path is exactly reversing that path in the overlay, and the
-overlay itself *is* the residual graph.
+overlay itself *is* the residual graph.  Each augmenting path is found by
+a search that grows from the source and from the sink at once and stops
+where the two meet, so a path near both ends costs the edges around it, not
+a sweep of the graph.  The sides and the min-cut DAG read off a maximum flow
+do not depend on which maximum flow the searches found.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ class FlowState:
     def minimal_side(self):
         """The inclusion-wise minimum min-cut side: the residual reach of
         the source."""
-        return CutSet.compute(self.overlay.g, self.overlay.bfs(self.source)[0])
+        return CutSet.compute(self.overlay.g, self.overlay.bfs(self.source))
 
     def latest_side(self):
         """The inclusion-wise maximum min-cut side: everything that cannot
         reach the sink in the residual."""
         g = self.overlay.g
-        blocked = set(self.overlay.bfs(self.sink, backward=True)[0])
+        blocked = set(self.overlay.bfs(self.sink, backward=True))
         return CutSet.compute(g, set(g.vertices()) - blocked)
 
     def pq(self):
@@ -65,10 +69,10 @@ def flow_state(g, src, dst, cap=None):
     ov = ReversalOverlay(g)
     value = 0
     while cap is None or value < cap:
-        _queue, tree, hit = ov.bfs(src, dst)
-        if not hit:
+        path = ov.augmenting_path(src, dst)
+        if path is None:
             break
-        ov.reverse_path(ov.tree_path(tree, src, dst))
+        ov.reverse_path(path)
         value += 1
     return FlowState(ov, value, src, dst)
 

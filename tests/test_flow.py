@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kecc.digraph import Digraph, GraphError, ReversalOverlay, contract, induced
 from kecc.flow import (flow_state, lambda_bounded, latest_mincut,
                        minimal_mincut_side, pq_graph)
-from kecc.gen import gen_blocks, gen_cyc, gen_kn
+from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
 from kecc.oracle import (enumerate_separators, lambda_oracle, latest_oracle,
                          mset_oracle)
 
@@ -86,7 +86,7 @@ def test_latest_boundary_reachability(rng):
                     if g.head(e) not in cut.members}
         sub, vmap = induced(g, cut.members)
         ov = ReversalOverlay(sub)
-        reach = set(ov.bfs(vmap[v])[0])
+        reach = set(ov.bfs(vmap[v]))
         assert {vmap[b] for b in boundary} <= reach
 
 
@@ -100,7 +100,7 @@ def test_include_outgoing_edge(rng):
         v, s = rng.sample(range(g.n_live), 2)
         cut = latest_mincut(g, v, s)
         sub, vmap = induced(g, cut.members)
-        reach_local = ReversalOverlay(sub).bfs(vmap[v])[0]
+        reach_local = ReversalOverlay(sub).bfs(vmap[v])
         inv = {b: a for a, b in vmap.items()}
         reach = {inv[x] for x in reach_local}
         exits = {g.head(e) for u in cut.members for e in g.out_edges(u)
@@ -230,6 +230,32 @@ def test_flow_argument_validation():
         lambda_bounded(g, 1, 1, 3)
     with pytest.raises(GraphError):
         lambda_bounded(g, 0, 1, 0)
+
+
+def test_flow_reads_a_fraction_of_the_graph(monkeypatch):
+    # the two-sided search stops where the sides meet: a capped flow on a
+    # random 2-connected graph reads a small fraction of its m = 2400
+    # adjacency entries, where a one-sided search reads about all of them
+    read = [0]
+    succ, pred = ReversalOverlay.succ, ReversalOverlay.pred
+
+    def counted(step):
+        def walk(ov, x):
+            for entry in step(ov, x):
+                read[0] += 1
+                yield entry
+        return walk
+
+    # without snapshots every adjacency entry is read through succ or pred,
+    # in the same order
+    monkeypatch.setattr(ReversalOverlay, "_snapshot",
+                        lambda ov, backward=False: None)
+    monkeypatch.setattr(ReversalOverlay, "succ", counted(succ))
+    monkeypatch.setattr(ReversalOverlay, "pred", counted(pred))
+    g = gen_random_kec(300, 2, 1800, 1)
+    flows = [flow_state(g, v, 0, 3) for v in range(1, 300)]
+    assert all(fs.value >= 2 for fs in flows)
+    assert read[0] / len(flows) < g.m_live / 4
 
 
 @st.composite

@@ -140,7 +140,7 @@ def test_cli_components_rejects_bad_start(tmp_path, capsys):
     for s in ("0", "99"):
         assert main(["components", str(graph), "--k", "2",
                      "--s-override", s]) == 1
-        assert "not live" in capsys.readouterr().err
+        assert f"start vertex {s} is not live" in capsys.readouterr().err
 
 
 def test_cli_components_rand_seeded(tmp_path):

@@ -1,13 +1,17 @@
 """Property tests of the overlay traversal kernel against brute-force
 reachability, on plain graphs and on lazily contracted ones, each with
-random paths reversed."""
+random paths reversed, and of the flows built on it against the oracle."""
 
 from __future__ import annotations
+
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kecc.digraph import Digraph, ReversalOverlay
+from kecc.flow import flow_state
+from kecc.oracle import lambda_oracle
 
 from conftest import random_walk
 
@@ -36,6 +40,34 @@ def overlays(draw):
         if path:
             ov.reverse_path(path)
     return ov
+
+
+class _Stuck(Exception):
+    pass
+
+
+def step_limited(steps, fn, *args):
+    """fn(*args), or a failed assertion once it has traced `steps` events,
+    so that a search stuck in a loop fails, and shrinks, like any other
+    counterexample.  The assertion is raised outside the handler, which
+    releases the interrupted frames."""
+    left = [steps]
+
+    def trace(_frame, _event, _arg):
+        left[0] -= 1
+        if left[0] < 0:
+            raise _Stuck
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        return fn(*args)
+    except _Stuck:
+        pass
+    finally:
+        sys.settrace(previous)
+    raise AssertionError(f"no result within {steps} traced steps")
 
 
 def brute_reach(ov, src, backward=False):
@@ -75,26 +107,30 @@ def assert_tree_path(ov, tree, src, dst):
 @given(overlays())
 def test_reach_matches_brute_force(ov):
     for src in ov.g.vertices():
-        queue, tree, hit = ov.bfs(src)
-        assert not hit and len(set(queue)) == len(queue)
-        assert set(queue) == brute_reach(ov, src)
-        for y in queue:
-            assert_tree_path(ov, tree, src, y)
-        queue, _tree, hit = ov.bfs(src, backward=True)
-        assert not hit
-        assert set(queue) == brute_reach(ov, src, backward=True)
+        for backward in (False, True):
+            queue = ov.bfs(src, backward)
+            assert queue[0] == src and len(set(queue)) == len(queue)
+            assert set(queue) == brute_reach(ov, src, backward)
 
 
 @PROPERTY
 @given(overlays(), st.data())
-def test_target_stops_search(ov, data):
+def test_augmenting_path_matches_brute_force(ov, data):
     src, dst = data.draw(st.lists(st.sampled_from(ov.g.vertices()),
                                   min_size=2, max_size=2, unique=True))
-    queue, tree, hit = ov.bfs(src, dst)
-    assert hit == (dst in brute_reach(ov, src))
-    assert dst not in queue
-    if hit:
-        assert_tree_path(ov, tree, src, dst)
+    # a malformed search tree would send the join round a cycle
+    path = step_limited(20000, ov.augmenting_path, src, dst)
+    assert (path is None) == (dst not in brute_reach(ov, src))
+    if path is not None:
+        assert len(set(path)) == len(path)
+        cur = src
+        for e in path:
+            assert ov.g.e_alive[e] and ov.tail(e) == cur
+            cur = ov.head(e)
+        assert cur == dst
+    cap = data.draw(st.integers(1, 4))
+    fs = step_limited(20000, flow_state, ov.g, src, dst, cap)
+    assert fs.value == lambda_oracle(ov.g, src, dst, cap)
 
 
 @PROPERTY
@@ -108,12 +144,12 @@ def test_bounded_search_keeps_budget(ov, data):
     queue, tree, hit, count = ov.bounded_bfs(src, target, limit, scanned)
     assert count == len(scanned) <= limit
     assert len(set(scanned)) == count
-    full, _tree, full_hit = ov.bfs(src, target)
+    full = ov.bfs(src)
     assert queue == full[:len(queue)]
     if hit:
-        assert full_hit
+        assert target in full
         assert_tree_path(ov, tree, src, target)
     elif count < limit:
         # the search ran out of frontier, not of budget
-        assert queue == full and not full_hit
+        assert queue == full and target not in full
         assert count == sum(1 for x in queue for _ in ov.succ(x))
