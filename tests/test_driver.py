@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kecc.digraph import AUX_OTHER, GraphError
 from kecc.decompose import decompose_kecc
@@ -185,3 +187,32 @@ def test_bad_mode_and_delta():
         compute_partition_single(g, 1, 1.5, "exact")
     with pytest.raises(GraphError):
         compute_partition_single(g, 1, 0.2, "rand")  # rng missing
+
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def prepared_graphs(draw):
+    """Small graphs whose vertices are (k+1)-edge-connected, with planted
+    structure: unions of k+1 Hamiltonian cycles with a few extra arcs, or
+    cycles of complete blocks joined by one arc each way (2-connected)."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 2))
+        n = draw(st.integers(3, 8))
+        return gen_random_kec(n, k + 1, draw(st.integers(0, 2 * n)),
+                              draw(st.integers(0, 10**6))), k
+    return gen_chain(draw(st.integers(2, 4)), draw(st.integers(3, 5)), 1), 1
+
+
+@PROPERTY
+@given(prepared_graphs(), st.integers(0, 2**32 - 1))
+def test_partition_does_not_depend_on_root(case, seed):
+    h, k = case
+    want = ecc_components(h, k + 2)
+    for r in h.ordinary_vertices():
+        assert compute_partition_single(h, k, 0.2, "exact", s=r) == want, r
+    part = compute_partition_single(h, k, 0.2, "rand", random.Random(seed))
+    report = verify_partition(h, part, k + 2)
+    assert report.ok, report.false_separations

@@ -15,7 +15,7 @@ import pytest
 
 from kecc import (compute_4ecc_prepared, compute_k2ecc, decompose_kecc,
                   gen_chain, gen_random_kec, good_k3_partition, lambda_bounded)
-from kecc.oracle import mutually_connected
+from kecc.oracle import ecc_components, mutually_connected
 
 from conftest import random_strongly_connected
 
@@ -56,13 +56,14 @@ def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def k2ecc_digest(mode, seed):
+def k2ecc_run(mode, seed):
+    """(graph, partition, digest) of one pinned compute_k2ecc call."""
     g = gen_random_kec(120, 2, 600, seed)
     rng = random.Random(seed)
     stats = {}
     part = compute_k2ecc(g, 2, 0.25, mode, rng, stats=stats)
     labels = [part.label[v] for v in part.universe]
-    return _digest([labels, stats, rng.random()])
+    return g, part, _digest([labels, stats, rng.random()])
 
 
 def pieces_digest():
@@ -78,13 +79,24 @@ def pieces_digest():
     return _digest([rows, rng.random()])
 
 
-def low_digest(g):
+def low_run(g):
+    """([(piece graph, partition)], digest) of one pinned pass over the
+    pieces of g."""
     rng = random.Random(1)
-    rows = []
+    parts = []
     for p in decompose_kecc(g, 2, 0.25, "rand", random.Random(0)):
-        part = compute_4ecc_prepared(p.graph, 0.25, "rand", rng)
-        rows.append([part.label[v] for v in part.universe])
-    return _digest([rows, rng.random()])
+        parts.append((p.graph, compute_4ecc_prepared(p.graph, 0.25, "rand",
+                                                     rng)))
+    rows = [[part.label[v] for v in part.universe] for _h, part in parts]
+    return parts, _digest([rows, rng.random()])
+
+
+def assert_splits_no_connected_pair(g, part, c):
+    """One-sided oracle check: no class of mutually c-connected ordinary
+    vertices is split."""
+    ordinary = g.ordinary_vertices()
+    for block in ecc_components(g, c).restrict(ordinary).blocks():
+        assert len({part.label[v] for v in block}) == 1, block
 
 
 def k3_cases():
@@ -104,7 +116,15 @@ def k3_cases():
 
 @pytest.mark.parametrize("mode,seed", sorted(K2ECC_DIGESTS))
 def test_k2ecc_byte_stable(mode, seed):
-    assert k2ecc_digest(mode, seed) == K2ECC_DIGESTS[mode, seed]
+    assert k2ecc_run(mode, seed)[2] == K2ECC_DIGESTS[mode, seed]
+
+
+# the rand-mode pins include rng draws, so a change in how many draws a run
+# makes moves them; the oracle judges the partitions themselves
+@pytest.mark.parametrize("seed", range(3))
+def test_k2ecc_rand_pins_split_no_connected_pair(seed):
+    g, part, _digest = k2ecc_run("rand", seed)
+    assert_splits_no_connected_pair(g, part, 4)
 
 
 def test_decomposition_pieces_byte_stable():
@@ -113,7 +133,13 @@ def test_decomposition_pieces_byte_stable():
 
 @pytest.mark.parametrize("name", sorted(LOW_DIGESTS))
 def test_4ecc_prepared_byte_stable(name):
-    assert low_digest(LOW_GRAPHS[name]()) == LOW_DIGESTS[name]
+    assert low_run(LOW_GRAPHS[name]())[1] == LOW_DIGESTS[name]
+
+
+def test_4ecc_prepared_rk_pin_splits_no_connected_pair():
+    parts, _digest = low_run(LOW_GRAPHS["rk"]())
+    for h, part in parts:
+        assert_splits_no_connected_pair(h, part, 4)
 
 
 def test_good_k3_partition_byte_stable():
