@@ -499,9 +499,14 @@ class ReversalOverlay:
             if cur is not None and self.tail(e) != cur:
                 raise GraphError("edges do not form a contiguous walk")
             cur = self.head(e)
+        self.reverse_trusted(path)
+
+    def reverse_trusted(self, path):
+        """reverse_path without its checks, for walks the traversal kernels
+        built on this overlay themselves."""
         for e in path:
             self._toggle(e)
-            self.journal.append(e)
+        self.journal.extend(path)
 
     def rewind(self, mark):
         journal = self.journal

@@ -72,7 +72,7 @@ def flow_state(g, src, dst, cap=None):
         path = ov.augmenting_path(src, dst)
         if path is None:
             break
-        ov.reverse_path(path)
+        ov.reverse_trusted(path)
         value += 1
     return FlowState(ov, value, src, dst)
 

@@ -159,7 +159,7 @@ def _search_level(ov, v, s, level, delta):
         return _bounded_reach(ov, v, s, delta)
     for path in find_out_paths(ov, v, s, level, delta):
         mark = ov.mark()
-        ov.reverse_path(path)
+        ov.reverse_trusted(path)
         got = _search_level(ov, v, s, level - 1, delta)
         ov.rewind(mark)
         if got is not None:
@@ -195,7 +195,7 @@ def _randomized_search(g, v, s, k, delta, rng):
             x = ov.tail(eids[rng.randrange(len(eids))])
         else:
             return EMPTY, used_rng
-        ov.reverse_path(ov.tree_path(tree, v, x))
+        ov.reverse_trusted(ov.tree_path(tree, v, x))
     members = _bounded_reach(ov, v, s, delta)
     if members is None:
         return EMPTY, used_rng
