@@ -238,7 +238,11 @@ def build_parser():
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--mode", choices=("det", "rand", "exact"), default="rand")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--s-override", type=int, default=None)
+    p.add_argument("--s-override", type=int, default=None,
+                   help="1-based id of the live vertex that roots the "
+                        "decomposition (default: the smallest id); each "
+                        "piece is partitioned from its ordinary vertex of "
+                        "largest min(in, out)-degree")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_components)
 

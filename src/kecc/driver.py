@@ -106,6 +106,12 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
     and returns the common refinement.  In exact mode the output is
     deterministic and equals the (k+2)-connectivity classes of the ordinary
     vertices.
+
+    Every flow and search of both passes, in both directions, is rooted at
+    the ordinary vertex s.  By default s is the ordinary vertex with the
+    largest min(in, out)-degree, the smallest id among equals: a root of
+    degree k+1 would put every vertex at connectivity k+1 to it and send
+    each one through the amplified small-set search.
     """
     if mode not in MODES:
         raise GraphError(f"unknown mode {mode!r}; choose from {MODES}")
@@ -117,7 +123,8 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
     if not ordinary:
         raise GraphError("graph has no ordinary vertex")
     if s is None:
-        s = min(ordinary)
+        # max keeps the first, i.e. smallest, of equally connected vertices
+        s = max(ordinary, key=lambda v: min(h.in_deg[v], h.out_deg[v]))
     elif s not in ordinary:
         raise GraphError(f"start vertex {s} is not a live ordinary vertex")
     forward = _one_direction(h, s, k, delta, mode, rng, low, stats)
@@ -131,7 +138,9 @@ def compute_k2ecc(g, k, delta, mode="rand", rng=None, s=None, stats=None):
 
     Decomposes with failure budget delta/2, partitions each piece with
     budget delta/(2n), and stitches the per-piece blocks back together:
-    vertices from different pieces are never merged.
+    vertices from different pieces are never merged.  s roots the
+    decomposition (default: the smallest live id); each piece is rooted at
+    its best-connected ordinary vertex, as in compute_partition_single.
     """
     if mode not in MODES:
         raise GraphError(f"unknown mode {mode!r}")
@@ -157,7 +166,9 @@ def compute_4ecc_prepared(h, delta, mode="rand", rng=None, s=None, stats=None):
 
     Same driver as the general algorithm with k=2; sampled vertices at
     connectivity below 2 are handled through the latest-mincut construction
-    for low connectivities.
+    for low connectivities.  s roots the partition; by default it is the
+    ordinary vertex with the largest min(in, out)-degree, as in
+    compute_partition_single.
     """
     return compute_partition_single(h, 2, delta, mode, rng, s=s, stats=stats,
                                     low=True)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecc.digraph import AUX_OTHER, GraphError
+import kecc.driver as drv
+from kecc.digraph import AUX_OTHER, Digraph, GraphError
 from kecc.decompose import decompose_kecc
 from kecc.driver import (compute_4ecc_prepared, compute_k2ecc,
                          compute_partition_single, sample_count)
@@ -216,3 +217,45 @@ def test_partition_does_not_depend_on_root(case, seed):
     part = compute_partition_single(h, k, 0.2, "rand", random.Random(seed))
     report = verify_partition(h, part, k + 2)
     assert report.ok, report.false_separations
+
+
+def _root_fixture(aux=False):
+    """K4 on 1..4 plus vertex 0 linked to 1 and 2 each way, so that at k=1
+    vertex 0 has min(in, out)-degree k+1 and 1 and 2 tie at the top; with
+    aux, an auxiliary vertex 5 linked twice each way to all of 1..4 has the
+    highest degree of all."""
+    g = Digraph()
+    g.add_vertices(5)
+    for u in range(1, 5):
+        for v in range(1, 5):
+            if u != v:
+                g.add_edge(u, v)
+    for u in (1, 2):
+        g.add_edge(0, u)
+        g.add_edge(u, 0)
+    if aux:
+        x = g.add_vertex(AUX_OTHER)
+        for u in range(1, 5):
+            g.add_edge(x, u, copies=2)
+            g.add_edge(u, x, copies=2)
+    return g
+
+
+@pytest.mark.parametrize("mode", ["det", "rand", "exact"])
+@pytest.mark.parametrize("aux,s,want", [(False, None, 1), (True, None, 1),
+                                        (False, 3, 3), (True, 0, 0)])
+def test_default_root_is_best_connected_ordinary(monkeypatch, mode, aux, s,
+                                                 want):
+    sinks = []
+
+    def recording(fn):
+        def wrapped(g, src, dst, *args, **kwargs):
+            sinks.append(dst)
+            return fn(g, src, dst, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(drv, "lambda_bounded", recording(drv.lambda_bounded))
+    monkeypatch.setattr(drv, "flow_state", recording(drv.flow_state))
+    g = _root_fixture(aux)
+    compute_partition_single(g, 1, 0.2, mode, random.Random(0), s=s)
+    assert sinks and set(sinks) == {want}
