@@ -24,9 +24,9 @@ K2ECC_DIGESTS = {
     ("det", 0): "970d702efd4c72d806c823042ac5ebf69fe7044656d9cdf05a4cf6e32219283e",
     ("det", 1): "525280de79ca7ce2d7ad9aa4767c6ab29adf1371d22b5968d8340a5100746f23",
     ("det", 2): "156182334a6557d83e0f1d197a4ab6f71aa03d1c47e56387454f240b058405fc",
-    ("rand", 0): "f7634760972a718d3ce4d6f4a1e893200b46b11b921c4c22571129910d5ff8c9",
-    ("rand", 1): "ebe415d9dc9e63e6b05ef9d15365a7dd42a09124c302fae188c055e745f48b20",
-    ("rand", 2): "faa4d3647b1bd8e60d5bceee71a2d73167fd0ec43727403c95b9f85ff74e6126",
+    ("rand", 0): "bd2415b0db121f2a204236252089bb7dec965cfe1b7e7138efe0738c0625753e",
+    ("rand", 1): "639ce99a39dfecd80934610ce395e051c1959124d7aafa9c2d2bb43588c4824a",
+    ("rand", 2): "0f5da595f570565555e22eae4707b32b32bb6609ce6735e5b5e69423b92357ca",
     ("exact", 0): "1b099544f70efd137edbac1136fef07cff6e962feee557c265aad36d4ed6162a",
     ("exact", 1): "371c30c111a9a9c894d314f05e1b73c76af4e686ab4a2fc595ed326b19a5e1c3",
     ("exact", 2): "cc0aceba35610da2619a8c423671e0f5d988ea100b2ea84a6019d5329afe774a",
@@ -42,7 +42,7 @@ LOW_GRAPHS = {"chain": lambda: gen_chain(30, 6, 1),
               "rk": lambda: gen_random_kec(120, 2, 600, 0)}
 LOW_DIGESTS = {
     "chain": "1284127664161b5785a74411690a775950d13dfb3950740d63f3385e6501723e",
-    "rk": "276ce9bab4b9cbee87329033bef92b9fbcc119c97a4d107abfc08bb42d48349d",
+    "rk": "caa6eeed62a2c061148c4200428e3f70c2bf915f962de9b94ebd426b064a7464",
 }
 
 # good_k3_partition over k3_cases(); on the cases listed in K3_NOT_PINNED an
