@@ -123,7 +123,7 @@ def test_k2ecc_byte_stable(mode, seed):
 # makes moves them; the oracle judges the partitions themselves
 @pytest.mark.parametrize("seed", range(3))
 def test_k2ecc_rand_pins_split_no_connected_pair(seed):
-    g, part, _digest = k2ecc_run("rand", seed)
+    g, part, _ = k2ecc_run("rand", seed)
     assert_splits_no_connected_pair(g, part, 4)
 
 
@@ -137,7 +137,7 @@ def test_4ecc_prepared_byte_stable(name):
 
 
 def test_4ecc_prepared_rk_pin_splits_no_connected_pair():
-    parts, _digest = low_run(LOW_GRAPHS["rk"]())
+    parts, _ = low_run(LOW_GRAPHS["rk"]())
     for h, part in parts:
         assert_splits_no_connected_pair(h, part, 4)
 

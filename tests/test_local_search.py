@@ -13,7 +13,7 @@ from kecc.local_search import (EMPTY, SearchBudget, amplified_mset,
                                randomized_local_search_mset)
 from kecc.oracle import BOTTOM, lambda_oracle, mset_oracle
 
-from conftest import fingerprint, random_strongly_connected
+from conftest import fingerprint, random_strongly_connected, random_walk
 
 
 def test_find_out_paths_immediate_sink():
@@ -68,6 +68,26 @@ def test_find_out_paths_returns_at_most_2k(rng):
         k = rng.randrange(1, 4)
         paths = find_out_paths(ReversalOverlay(g), v, s, k, 3)
         assert len(paths) <= 2 * k
+
+
+def test_find_out_paths_builds_walks_from_v(rng):
+    # the deterministic search reverses these paths without checks: each
+    # must be an edge-distinct walk from v, which the checked reversal accepts
+    paused = 0
+    for _ in range(60):
+        g = random_strongly_connected(rng, rng.randrange(10, 40),
+                                      rng.randrange(0, 40))
+        v, s = rng.sample(range(g.n_live), 2)
+        ov = ReversalOverlay(g)
+        ov.reverse_path(random_walk(g, ov, rng, v))
+        for path in find_out_paths(ov, v, s, rng.randrange(1, 4),
+                                   rng.randrange(1, 12)):
+            assert not path or ov.tail(path[0]) == v
+            mark = ov.mark()
+            ov.reverse_path(path)
+            ov.rewind(mark)
+            paused += bool(path) and ov.head(path[-1]) != s
+    assert paused  # paths to paused searches, not only the path to s
 
 
 def test_local_search_k5_found():
