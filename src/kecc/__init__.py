@@ -6,10 +6,9 @@ compute (k+2)-edge-connected components of k-edge-connected digraphs, all
 cross-checkable against a built-in brute-force oracle.
 """
 
-from .digraph import (AUX_KIN, AUX_KOUT, AUX_OTHER, ORDINARY, CutSet, Digraph,
+from .digraph import (AUX_KIN, AUX_KOUT, AUX_OTHER, ORDINARY, Digraph,
                       DisjointSets, GraphError, ReversalOverlay, contract,
-                      contract_complement_reduced, materialize, out_of,
-                      split_outgoing, vol_of)
+                      contract_complement_reduced, materialize, out_of, vol_of)
 from .flow import (FlowState, PQGraph, flow_state, lambda_bounded,
                    latest_mincut, minimal_mincut_side, pq_graph)
 from .local_search import (EMPTY, MSetResult, SearchBudget, amplified_mset,
@@ -29,12 +28,12 @@ from .estimator import KPlusTwoComponents, PreparedFourComponents
 __version__ = "0.1.0"
 
 __all__ = [
-    "AUX_KIN", "AUX_KOUT", "AUX_OTHER", "ORDINARY", "CutSet", "Digraph",
+    "AUX_KIN", "AUX_KOUT", "AUX_OTHER", "ORDINARY", "Digraph",
     "DisjointSets", "GraphError", "ReversalOverlay", "contract",
-    "contract_complement_reduced", "materialize", "out_of", "split_outgoing",
-    "vol_of", "FlowState", "PQGraph", "flow_state", "lambda_bounded",
-    "latest_mincut", "minimal_mincut_side", "pq_graph", "EMPTY", "MSetResult",
-    "SearchBudget", "amplified_mset", "find_out_paths", "local_search_mset",
+    "contract_complement_reduced", "materialize", "out_of", "vol_of",
+    "FlowState", "PQGraph", "flow_state", "lambda_bounded", "latest_mincut",
+    "minimal_mincut_side", "pq_graph", "EMPTY", "MSetResult", "SearchBudget",
+    "amplified_mset", "find_out_paths", "local_search_mset",
     "randomized_local_search_mset", "Partition", "ecc_naive",
     "good_k3_partition", "good_partition_deficient", "good_partition_full",
     "good_partition_low", "partition_from_msets", "refine", "refine_many",

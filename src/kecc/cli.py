@@ -18,7 +18,7 @@ import sys
 import time
 
 from .decompose import DecompositionError, decompose_kecc, verify_decomposition
-from .digraph import GraphError, materialize
+from .digraph import GraphError, materialize, out_and_vol
 from .driver import compute_k2ecc
 from .flow import lambda_bounded
 from .gen import MODELS, gen, sub_rng
@@ -70,8 +70,10 @@ def _cmd_mset(args):
         res = amplified_mset(g, v, s, args.k, args.delta_budget,
                              args.delta / 2, rng)
     if res.found:
-        doc = {"status": "found", "members": [u + 1 for u in res.cut.sorted()],
-               "out": res.cut.out_count, "vol": res.cut.vol}
+        out, vol = out_and_vol(g, res.members)
+        doc = {"status": "found",
+               "members": [u + 1 for u in sorted(res.members)],
+               "out": out, "vol": vol}
     else:
         doc = {"status": "empty"}
     print(json.dumps(doc, sort_keys=True))

@@ -56,8 +56,7 @@ def proper_order(g, s, k):
         if lam < k:
             raise GraphError(
                 f"graph is not {k}-edge-connected: lambda({v},{s})={lam}")
-        cut = minimal_mincut_side(g, v, s)
-        by_set.setdefault(cut.members, []).append(v)
+        by_set.setdefault(minimal_mincut_side(g, v, s), []).append(v)
     classes = [(members, key) for key, members in by_set.items()]
     classes.sort(key=lambda mc: (len(mc[1]), min(mc[1])))
     classes.append((bottom, None))
@@ -91,16 +90,14 @@ def _find_min_out_set(gev, v, s, k, m0, mode, reps, rng):
     with doubling volume budgets; raise if it is missed or found too late."""
     delta = 1
     while True:
-        found = None
         if mode == "det":
-            res = local_search_mset(gev, v, s, k, delta)
-            if res.found:
-                found = res.cut.members
+            found = local_search_mset(gev, v, s, k, delta).members
         else:
+            found = None
             for _ in range(reps):
                 res = randomized_local_search_mset(gev, v, s, k, delta, rng)
                 if res.found:
-                    found = res.cut.members
+                    found = res.members
                     break
         if found is not None:
             vol = vol_of(gev, found)

@@ -17,9 +17,6 @@ AUX_KOUT = 1
 AUX_KIN = 2
 AUX_OTHER = 3
 
-KIND_NAMES = {ORDINARY: "ordinary", AUX_KOUT: "aux-kout",
-              AUX_KIN: "aux-kin", AUX_OTHER: "aux"}
-
 # Multiplicities are expanded to parallel edges, so cap the expanded size.
 MAX_EDGES = 10_000_000
 
@@ -71,34 +68,6 @@ class DisjointSets:
         if self.rank[ru] == self.rank[rv]:
             self.rank[ru] += 1
         self.label[ru] = u
-
-
-@dataclass(frozen=True)
-class CutSet:
-    """A vertex subset with its outgoing-edge count and volume cached.
-
-    vol counts edges whose tail lies in the set; out counts edges leaving it.
-    The caches are advisory: they can always be recomputed from the graph.
-    """
-
-    members: frozenset
-    out_count: int
-    vol: int
-
-    @classmethod
-    def compute(cls, g, members, overlay=None):
-        memb = frozenset(members)
-        out, vol = out_and_vol(g, memb, overlay)
-        return cls(memb, out, vol)
-
-    def __contains__(self, v):
-        return v in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def sorted(self):
-        return sorted(self.members)
 
 
 class Digraph:
@@ -205,20 +174,14 @@ class Digraph:
         if not (0 <= e < len(self.e_tail)) or not self.e_alive[e]:
             raise GraphError(f"edge {e} is not live")
         self._version += 1
-        t_owner = self._ring_owner_out(e)
-        h_owner = self._ring_owner_in(e)
+        t_owner = self.tail(e)
+        h_owner = self.head(e)
         self._ring_unlink(e, t_owner, self.first_out, self.nxt_out, self.prv_out)
         self._ring_unlink(e, h_owner, self.first_in, self.nxt_in, self.prv_in)
         self.out_deg[t_owner] -= 1
         self.in_deg[h_owner] -= 1
         self.e_alive[e] = False
         self.m_live -= 1
-
-    def _ring_owner_out(self, e):
-        return self.tail(e)
-
-    def _ring_owner_in(self, e):
-        return self.head(e)
 
     def merge_in_rings(self, src, dst):
         """Append src's entering-edge ring onto dst's; O(1)."""
@@ -450,8 +413,8 @@ class ReversalOverlay:
     """Journaled per-edge direction flips over a frozen graph.
 
     Traversal through the overlay sees edge (x, y) as (y, x) when flipped.
-    The base graph is never touched; undo_all / rewind restore the overlay to
-    an earlier journal mark exactly.  Flows find augmenting paths with the
+    The base graph is never touched; rewind restores the overlay to an
+    earlier journal mark exactly.  Flows find augmenting paths with the
     two-sided search augmenting_path and read residual reach with bfs; local
     searches walk the overlay with bounded_bfs.
     """
@@ -512,9 +475,6 @@ class ReversalOverlay:
         journal = self.journal
         while len(journal) > mark:
             self._toggle(journal.pop())
-
-    def undo_all(self):
-        self.rewind(0)
 
     def succ(self, v):
         g = self.g
@@ -724,7 +684,7 @@ def vol_of(g, members, overlay=None):
     return out_and_vol(g, members, overlay)[1]
 
 
-# -- contraction and splitting ----------------------------------------------
+# -- contraction ------------------------------------------------------------
 
 def contract(g, members, kind=None):
     """Eagerly contract a vertex set into one new vertex of the given kind.
@@ -761,22 +721,6 @@ def contract(g, members, kind=None):
                 continue
             h.add_edge(t2, h2)
     return h, v_s
-
-
-def split_outgoing(g, members):
-    """Put a fresh intermediate vertex on every outgoing edge of the set."""
-    memb = set(members)
-    h = g.copy()
-    cut = [e for u in memb for e in g.out_edges(u) if g.head(e) not in memb]
-    new_vertices = []
-    for e in cut:
-        t, hd = h.ends(e)
-        h.delete_edge(e)
-        w = h.add_vertex(AUX_OTHER)
-        h.add_edge(t, w)
-        h.add_edge(w, hd)
-        new_vertices.append(w)
-    return h, new_vertices
 
 
 @dataclass

@@ -18,6 +18,13 @@ from .partitions import (Partition, good_partition_deficient,
 MODES = ("det", "rand", "exact")
 
 
+def _check_mode(mode, rng):
+    if mode not in MODES:
+        raise GraphError(f"unknown mode {mode!r}; choose from {MODES}")
+    if mode != "exact" and rng is None:
+        raise GraphError(f"{mode} mode needs an rng")
+
+
 def sample_count(n_ord, delta, mode):
     """Number of edges drawn by the sampling pass: ceil(sqrt(n) log2(2n/d))
     with deterministic searches, ceil(sqrt(n) log2(4n/d)) with randomized."""
@@ -39,7 +46,7 @@ def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng,
         lam_cache[v] = fs.value
         if fs.value != k + 1:
             return EMPTY
-        return MSetResult.of(fs.minimal_side())
+        return MSetResult(fs.minimal_side())
     lam = lambda_bounded(h, v, s, k + 2)
     lam_cache[v] = lam
     if lam >= k + 2:
@@ -105,7 +112,7 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
     small-set pass and the sampling pass on the graph and on its reverse,
     and returns the common refinement.  In exact mode the output is
     deterministic and equals the (k+2)-connectivity classes of the ordinary
-    vertices.
+    vertices; the other modes sample edges and need an rng.
 
     Every flow and search of both passes, in both directions, is rooted at
     the ordinary vertex s.  By default s is the ordinary vertex with the
@@ -113,10 +120,7 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
     degree k+1 would put every vertex at connectivity k+1 to it and send
     each one through the amplified small-set search.
     """
-    if mode not in MODES:
-        raise GraphError(f"unknown mode {mode!r}; choose from {MODES}")
-    if mode == "rand" and rng is None:
-        raise GraphError("rand mode needs an rng")
+    _check_mode(mode, rng)
     if not 0 < delta < 1:
         raise GraphError("delta must be in (0, 1)")
     ordinary = h.ordinary_vertices()
@@ -142,8 +146,7 @@ def compute_k2ecc(g, k, delta, mode="rand", rng=None, s=None, stats=None):
     decomposition (default: the smallest live id); each piece is rooted at
     its best-connected ordinary vertex, as in compute_partition_single.
     """
-    if mode not in MODES:
-        raise GraphError(f"unknown mode {mode!r}")
+    _check_mode(mode, rng)
     decomp_mode = "rand" if mode == "rand" else "det"
     pieces = decompose_kecc(g, k, delta / 2, decomp_mode, rng, s=s)
     if stats is not None:

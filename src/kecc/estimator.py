@@ -11,8 +11,7 @@ import inspect
 
 from .driver import compute_4ecc_prepared, compute_k2ecc
 from .gen import sub_rng
-from .validation import (NotFittedError, as_digraph, check_delta, check_k,
-                         check_mode)
+from .validation import as_digraph, check_delta, check_k, check_mode
 
 
 class _BaseEstimator:
@@ -32,10 +31,6 @@ class _BaseEstimator:
                                  f"{type(self).__name__}")
             setattr(self, name, value)
         return self
-
-    def _check_fitted(self):
-        if getattr(self, "labels_", None) is None:
-            raise NotFittedError(f"{type(self).__name__} is not fitted yet")
 
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

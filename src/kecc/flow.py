@@ -13,7 +13,7 @@ do not depend on which maximum flow the searches found.
 
 from __future__ import annotations
 
-from .digraph import CutSet, GraphError, ReversalOverlay
+from .digraph import GraphError, ReversalOverlay
 from .partitions import Partition
 
 
@@ -36,16 +36,15 @@ class FlowState:
     # Their results do not depend on which maximum flow was found.
 
     def minimal_side(self):
-        """The inclusion-wise minimum min-cut side: the residual reach of
-        the source."""
-        return CutSet.compute(self.overlay.g, self.overlay.bfs(self.source))
+        """The inclusion-wise minimum min-cut side, as a frozenset: the
+        residual reach of the source."""
+        return frozenset(self.overlay.bfs(self.source))
 
     def latest_side(self):
-        """The inclusion-wise maximum min-cut side: everything that cannot
-        reach the sink in the residual."""
-        g = self.overlay.g
+        """The inclusion-wise maximum min-cut side, as a frozenset:
+        everything that cannot reach the sink in the residual."""
         blocked = set(self.overlay.bfs(self.sink, backward=True))
-        return CutSet.compute(g, set(g.vertices()) - blocked)
+        return frozenset(set(self.overlay.g.vertices()) - blocked)
 
     def pq(self):
         """The min-cut DAG representation (Picard-Queyranne graph).

@@ -11,10 +11,9 @@ root (soundness is unconditional); Empty only means the search gave up.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .digraph import CutSet, GraphError, ReversalOverlay
+from .digraph import GraphError, ReversalOverlay
 
 
 class BudgetExceeded(RuntimeError):
@@ -22,51 +21,29 @@ class BudgetExceeded(RuntimeError):
 
 
 class SearchBudget:
-    """Explored-edge counter with a hard limit.
-
-    Instances register themselves in an active capture() block so test
-    harnesses can audit every invocation after the fact.
-    """
-
-    _capture = None
+    """Explored-edge counter with a hard limit."""
 
     __slots__ = ("explored", "limit")
 
     def __init__(self, limit):
         self.explored = 0
         self.limit = limit
-        if SearchBudget._capture is not None:
-            SearchBudget._capture.append(self)
 
     def charge(self, n=1):
         if self.explored + n > self.limit:
             raise BudgetExceeded(f"budget {self.limit} exceeded")
         self.explored += n
 
-    @classmethod
-    @contextmanager
-    def capture(cls):
-        prev = cls._capture
-        cls._capture = log = []
-        try:
-            yield log
-        finally:
-            cls._capture = prev
-
 
 @dataclass(frozen=True)
 class MSetResult:
-    """Outcome of a minimal-out-set query: Found(cut) or Empty."""
+    """Outcome of a minimal-out-set query: Found(members) or Empty."""
 
-    cut: CutSet | None
+    members: frozenset | None
 
     @property
     def found(self):
-        return self.cut is not None
-
-    @classmethod
-    def of(cls, cut):
-        return cls(cut)
+        return self.members is not None
 
 
 EMPTY = MSetResult(None)
@@ -134,7 +111,7 @@ def _bounded_reach(ov, v, s, delta):
     return None if hit or count > delta else set(queue)
 
 
-def local_search_mset(g, v, s, k, delta, debug=False):
+def local_search_mset(g, v, s, k, delta):
     """Deterministic search for the minimal k-out set containing v, not s.
 
     Requires lambda(v, s) >= k.  Found(S) is exact; Empty means the set does
@@ -142,16 +119,10 @@ def local_search_mset(g, v, s, k, delta, debug=False):
     paths, reverse one, recurse a level down; at level zero a plain bounded
     exploration either exhibits the set or fails.
     """
-    if debug:
-        from .flow import lambda_bounded
-        lam = lambda_bounded(g, v, s, k)
-        if lam < k:
-            raise GraphError(f"lambda({v},{s})={lam} < {k}")
-    ov = ReversalOverlay(g)
-    members = _search_level(ov, v, s, k, delta)
+    members = _search_level(ReversalOverlay(g), v, s, k, delta)
     if members is None:
         return EMPTY
-    return MSetResult.of(CutSet.compute(g, members))
+    return MSetResult(frozenset(members))
 
 
 def _search_level(ov, v, s, level, delta):
@@ -199,7 +170,7 @@ def _randomized_search(g, v, s, k, delta, rng):
     members = _bounded_reach(ov, v, s, delta)
     if members is None:
         return EMPTY, used_rng
-    return MSetResult.of(CutSet.compute(g, members)), used_rng
+    return MSetResult(frozenset(members)), used_rng
 
 
 def amplified_mset(g, v, s, k, delta, fail_prob, rng):

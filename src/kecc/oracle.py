@@ -143,7 +143,8 @@ BOTTOM = Bottom()
 
 
 def mset_oracle(g, v, s, c, check=False):
-    """The minimal c-out set containing v and avoiding s, or BOTTOM.
+    """The minimal c-out set containing v and avoiding s, as a frozenset,
+    or BOTTOM.
 
     Defined when lambda(v, s) >= c.  At exactly c the unique minimal set is
     the residual reach of v after a max-flow; above c no c-out separator can
@@ -163,19 +164,17 @@ def mset_oracle(g, v, s, c, check=False):
     if value < c:
         raise ValueError(f"lambda({v},{s})={value} < {c}: minimal {c}-out "
                          "separator is not defined")
-    members = res.reach(v)
-    from .digraph import CutSet
-    return CutSet.compute(g, members)
+    return frozenset(res.reach(v))
 
 
 def latest_oracle(g, v, s):
-    """Inclusion-wise maximum min-cut side containing v, avoiding s."""
+    """Inclusion-wise maximum min-cut side containing v, avoiding s, as a
+    frozenset."""
     res = _Residual(g)
     while res.augment(v, s):
         pass
     blocked = res.co_reach(s)
-    from .digraph import CutSet
-    return CutSet.compute(g, set(g.vertices()) - blocked)
+    return frozenset(set(g.vertices()) - blocked)
 
 
 def enumerate_separators(g, v, s, c):

@@ -130,7 +130,7 @@ def partition_from_msets(results, universe, ordinary):
         res = results.get(v)
         if res is None or not res.found:
             return ()
-        return tuple(res.cut.sorted())
+        return tuple(sorted(res.members))
 
     return Partition.from_key(universe, key)
 
@@ -177,14 +177,11 @@ def _good_partition(g, s, t, fs):
     if lam == t - 1:
         return fs.pq().partition()
     universe = tuple(sorted(g.vertices()))
-    latest = fs.latest_side().members
+    latest = fs.latest_side()
     gz, z = contract(g, latest, kind=AUX_KOUT)
     to_gz = {u: (z if u in latest else u) for u in universe}
     cut_edges = list(gz.out_edges(z))
-    stripped = gz.copy()
-    for e in cut_edges:
-        stripped.delete_edge(e)
-    parts = [pull_back(ecc_naive(stripped, t - lam), to_gz, universe)]
+    parts = []
     for e in cut_edges:
         x = gz.head(e)
         if x == s:
@@ -199,6 +196,11 @@ def _good_partition(g, s, t, fs):
                      for u in universe}
             parts.append(pull_back(_good_partition(gx, s, t, fx), to_gx,
                                    universe))
+    # gz is private to this call, so z's out-edges are stripped in place once
+    # the exit heads are done with it; the refinement ignores part order
+    for e in cut_edges:
+        gz.delete_edge(e)
+    parts.append(pull_back(ecc_naive(gz, t - lam), to_gz, universe))
     return refine_many(parts)
 
 

@@ -7,10 +7,6 @@ import operator
 from .digraph import Digraph, GraphError, from_arcs
 
 
-class NotFittedError(ValueError, AttributeError):
-    """Estimator used before fit(); mirrors the scikit-learn exception."""
-
-
 def check_k(k):
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")

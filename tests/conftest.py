@@ -7,6 +7,7 @@ import random
 import pytest
 
 from kecc.digraph import AUX_OTHER, Digraph
+from kecc.local_search import SearchBudget
 
 
 def random_digraph(rng, n, m):
@@ -55,6 +56,20 @@ def random_walk(g, ov, rng, start, max_len=12):
         path.append(e)
         cur = y
     return path
+
+
+def recording_budget(log):
+    """A SearchBudget that appends each of its instances to log; patched over
+    kecc.local_search.SearchBudget, it audits every search's budget."""
+
+    class Recorded(SearchBudget):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            log.append(self)
+
+    return Recorded
 
 
 def fingerprint(g):

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import kecc.local_search
 from kecc.decompose import (DecompositionError, decompose_kecc,
                             verify_decomposition)
 from kecc.digraph import ReversalOverlay, out_of, vol_of
@@ -18,11 +19,11 @@ from kecc.driver import compute_k2ecc, sample_count
 from kecc.flow import pq_graph
 from kecc.gen import (gen, gen_blocks, gen_chain, gen_cyc, gen_kn,
                       gen_random_kec, sub_rng)
-from kecc.local_search import SearchBudget, randomized_local_search_mset
+from kecc.local_search import randomized_local_search_mset
 from kecc.oracle import (BOTTOM, ecc_components, enumerate_separators,
                          lambda_oracle, mset_oracle)
 
-from conftest import random_strongly_connected, random_walk
+from conftest import random_strongly_connected, random_walk, recording_budget
 
 
 @contextmanager
@@ -76,8 +77,10 @@ def oracle_parts(corpus):
 
 @pytest.fixture(scope="module", autouse=True)
 def budget_audit():
-    """Capture every bounded-DFS budget across the whole acceptance run."""
-    with SearchBudget.capture() as log:
+    """Record every bounded-DFS budget across the whole acceptance run."""
+    log = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kecc.local_search, "SearchBudget", recording_budget(log))
         yield log
 
 
@@ -144,14 +147,14 @@ def test_c4_randomized_single_shot(corpus):
                       "soundness"):
         g = gen_cyc(6, 2)
         want = mset_oracle(g, 1, 0, 2)
-        assert vol_of(g, want.members) <= 12
+        assert vol_of(g, want) <= 12
         rng = random.Random(404)
         hits = 0
         trials = 1000
         for _ in range(trials):
             res = randomized_local_search_mset(g, 1, 0, 2, 12, rng)
             if res.found:
-                assert res.cut.members == want.members
+                assert res.members == want
                 hits += 1
         assert hits >= 450, hits
         # soundness across the corpus: any Found equals the oracle set
@@ -169,7 +172,7 @@ def test_c4_randomized_single_shot(corpus):
                 if res.found:
                     want = mset_oracle(h, v, s, level)
                     assert want is not BOTTOM
-                    assert res.cut.members == want.members, (name, v, s)
+                    assert res.members == want, (name, v, s)
 
 
 def test_c5_find_out_paths_budget(budget_audit, rng):

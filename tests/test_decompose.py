@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import kecc.decompose as dc
 from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
                             verify_decomposition)
-from kecc.digraph import AUX_KOUT, CutSet, GraphError, materialize, out_of
+from kecc.digraph import AUX_KOUT, GraphError, materialize, out_of, vol_of
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
 from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import enumerate_separators, mutually_connected
@@ -145,9 +145,9 @@ def test_decompose_late_success_detected(monkeypatch, rng):
     # a set that only surfaces at twice its volume is reported, not used
     real = dc.local_search_mset
 
-    def lazy(g, v, s, k, delta, debug=False):
+    def lazy(g, v, s, k, delta):
         res = real(g, v, s, k, delta)
-        if res.found and delta < 2 * res.cut.vol:
+        if res.found and delta < 2 * vol_of(g, res.members):
             return EMPTY
         return res
 
@@ -174,7 +174,7 @@ def test_decompose_class_check_always_on(monkeypatch):
 
     def widened(g, v, s, k, delta):
         if v == 1:
-            return MSetResult.of(CutSet.compute(g, {1, 2}))
+            return MSetResult(frozenset({1, 2}))
         return real(g, v, s, k, delta)
 
     g = gen_cyc(6, 2)

@@ -1,14 +1,14 @@
-"""Graph data model: rings, counters, overlays, contraction, splitting."""
+"""Graph data model: rings, counters, overlays and contraction."""
 
 import random
 
 import pytest
 
 import kecc.digraph as dg
-from kecc.digraph import (AUX_KIN, AUX_KOUT, CutSet, Digraph, DisjointSets,
+from kecc.digraph import (AUX_KIN, AUX_KOUT, Digraph, DisjointSets,
                           GraphError, ReversalOverlay, contract,
-                          contract_complement_reduced, induced, materialize,
-                          out_of, split_outgoing, vol_of)
+                          contract_complement_reduced, materialize, out_of,
+                          vol_of)
 from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
 from kecc.oracle import lambda_oracle
 
@@ -112,7 +112,7 @@ def test_reverse_path_cycle_fixture():
     assert (out_of(g, s, ov), vol_of(g, s, ov)) == (1, 3)
     ov.reverse_path(path)
     assert (out_of(g, s, ov), vol_of(g, s, ov)) == (0, 2)
-    ov.undo_all()
+    ov.rewind(0)
     assert (out_of(g, s, ov), vol_of(g, s, ov)) == (1, 3)
 
 
@@ -147,7 +147,7 @@ def test_reverse_undo_randomized(rng):
         walk = random_walk(g, ov, rng, start)
         if walk:
             ov.reverse_path(walk)
-        ov.undo_all()
+        ov.rewind(0)
         assert (out_of(g, members, ov), vol_of(g, members, ov)) == before
         assert not any(ov.flip)
         assert not ov.dirty
@@ -291,53 +291,6 @@ def test_contract_complement_preserves_inner_lambda(rng):
         done += 1
 
 
-def test_split_outgoing_fixture():
-    g = gen_cyc(4, 1)
-    h, new = split_outgoing(g, {1})
-    assert h.n_live == 5 and h.m_live == 5
-    assert len(new) == 1
-    assert lambda_oracle(g, 0, 2, 3) == lambda_oracle(h, 0, 2, 3) == 1
-
-
-def test_split_preserves_lambda_random(rng):
-    done = 0
-    while done < 10:
-        n = rng.randrange(4, 8)
-        k = rng.randrange(1, 3)
-        g = gen_random_kec(n, k, rng.randrange(0, n), rng.randrange(10**6))
-        members = set(rng.sample(range(n), rng.randrange(1, n)))
-        k_actual = out_of(g, members)
-        if k_actual == 0:
-            continue
-        h, _ = split_outgoing(g, members)
-        for _ in range(8):
-            u, v = rng.sample(range(n), 2)
-            cap = k_actual + 3
-            assert lambda_oracle(g, u, v, cap) == lambda_oracle(h, u, v, cap)
-        done += 1
-
-
-def test_split_kout_floor(rng):
-    # inside the split graph, every member still needs >= k edges to cut it
-    # off from the new intermediate vertices
-    done = 0
-    while done < 6:
-        n = rng.randrange(4, 9)
-        k = rng.randrange(1, 3)
-        g = gen_random_kec(n, k, rng.randrange(0, n), rng.randrange(10**6))
-        members = set(rng.sample(range(n), rng.randrange(1, n - 1)))
-        if out_of(g, members) != k:
-            continue
-        h, new = split_outgoing(g, members)
-        sub, vmap = induced(h, members | set(new))
-        sink = sub.add_vertex()
-        for x in new:
-            sub.add_edge(vmap[x], sink, copies=k + 1)
-        for v in members:
-            assert lambda_oracle(sub, vmap[v], sink, k) >= k
-        done += 1
-
-
 def test_lazy_contract_matches_eager(rng):
     for _ in range(20):
         n = rng.randrange(4, 9)
@@ -381,12 +334,3 @@ def test_dsu_chain():
     for v in range(1, 10):
         d.unite(0, v)
     assert all(d.find(v) == 0 for v in range(10))
-
-
-def test_cutset_caches():
-    g = gen_blocks(5, 5, 2)
-    cs = CutSet.compute(g, range(5, 10))
-    assert cs.out_count == 2
-    assert cs.vol == 22
-    assert 5 in cs and 0 not in cs
-    assert len(cs) == 5

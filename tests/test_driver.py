@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kecc.driver as drv
-from kecc.digraph import AUX_OTHER, Digraph, GraphError
+from kecc.digraph import AUX_OTHER, Digraph, GraphError, vol_of
 from kecc.decompose import decompose_kecc
 from kecc.driver import (compute_4ecc_prepared, compute_k2ecc,
                          compute_partition_single, sample_count)
@@ -165,7 +165,7 @@ def test_large_set_sampling_hits(rng):
     assert big is not BOTTOM
     m = g.m_live
     n_ord = g.n_live
-    assert big.vol > m / math.sqrt(n_ord)
+    assert vol_of(g, big) > m / math.sqrt(n_ord)
     edges = g.edges()
     delta = 0.2
     trials, hits = 200, 0
@@ -174,7 +174,7 @@ def test_large_set_sampling_hits(rng):
         draws = sample_count(n_ord, delta, "rand")
         tails = {g.tail(edges[rng_t.randrange(len(edges))])
                  for _ in range(draws)}
-        if tails & big.members:
+        if tails & big:
             hits += 1
     sigma = math.sqrt(trials * delta * (1 - delta))
     assert hits >= trials * (1 - delta) - 3 * sigma
@@ -188,6 +188,20 @@ def test_bad_mode_and_delta():
         compute_partition_single(g, 1, 1.5, "exact")
     with pytest.raises(GraphError):
         compute_partition_single(g, 1, 0.2, "rand")  # rng missing
+
+
+def test_det_mode_without_rng_is_rejected(monkeypatch):
+    # det mode's sampling pass draws edges too, so it needs an rng; the
+    # pipeline says so before it decomposes anything
+    decomposed = []
+    monkeypatch.setattr(drv, "decompose_kecc",
+                        lambda *args, **kwargs: decomposed.append(args))
+    g = gen_blocks(6, 6, 2)
+    with pytest.raises(GraphError, match="needs an rng"):
+        compute_k2ecc(g, 2, 0.25, "det")
+    assert not decomposed
+    with pytest.raises(GraphError, match="needs an rng"):
+        compute_partition_single(g, 2, 0.25, "det")
 
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,

@@ -2,11 +2,12 @@
 
 import pytest
 
+import kecc
 from kecc.digraph import GraphError
 from kecc.driver import compute_k2ecc
 from kecc.estimator import KPlusTwoComponents, PreparedFourComponents
 from kecc.gen import gen_blocks, gen_chain, sub_rng
-from kecc.validation import NotFittedError, as_digraph, check_delta, check_k
+from kecc.validation import as_digraph, check_delta, check_k
 
 
 def blocks_edges():
@@ -24,10 +25,9 @@ def test_get_set_params_roundtrip():
         est.set_params(gamma=1)
 
 
-def test_not_fitted():
-    est = KPlusTwoComponents()
-    with pytest.raises(NotFittedError):
-        est._check_fitted()
+def test_public_names_resolve():
+    # a stale __all__ entry would break `from kecc import *`
+    assert [name for name in kecc.__all__ if not hasattr(kecc, name)] == []
 
 
 def test_fit_matches_driver():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecc.digraph import Digraph, GraphError, ReversalOverlay, contract, induced
+from kecc.digraph import (Digraph, GraphError, ReversalOverlay, contract,
+                          induced, out_of)
 from kecc.flow import (flow_state, lambda_bounded, latest_mincut,
                        minimal_mincut_side, pq_graph)
 from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
@@ -45,16 +46,17 @@ def test_flow_state_fixtures():
 
 
 def test_minimal_mincut_fixtures():
-    assert minimal_mincut_side(gen_cyc(4, 1), 1, 0).sorted() == [1]
-    assert minimal_mincut_side(gen_cyc(4, 3), 2, 0).sorted() == [2]
-    cut = minimal_mincut_side(gen_blocks(5, 5, 2), 6, 1)
-    assert cut.sorted() == [5, 6, 7, 8, 9]
-    assert cut.out_count == 2
+    assert minimal_mincut_side(gen_cyc(4, 1), 1, 0) == {1}
+    assert minimal_mincut_side(gen_cyc(4, 3), 2, 0) == {2}
+    g = gen_blocks(5, 5, 2)
+    cut = minimal_mincut_side(g, 6, 1)
+    assert cut == {5, 6, 7, 8, 9}
+    assert out_of(g, cut) == 2
 
 
 def test_latest_mincut_fixtures():
-    assert latest_mincut(gen_cyc(4, 1), 1, 0).sorted() == [1, 2, 3]
-    assert latest_mincut(gen_blocks(5, 5, 2), 6, 1).sorted() == [5, 6, 7, 8, 9]
+    assert latest_mincut(gen_cyc(4, 1), 1, 0) == {1, 2, 3}
+    assert latest_mincut(gen_blocks(5, 5, 2), 6, 1) == {5, 6, 7, 8, 9}
 
 
 def test_minimal_latest_against_enumeration(rng):
@@ -65,8 +67,8 @@ def test_minimal_latest_against_enumeration(rng):
         lam = lambda_oracle(g, v, s, 10)
         seps = enumerate_separators(g, v, s, lam)
         assert seps, "a min cut always exists"
-        minimal = minimal_mincut_side(g, v, s).members
-        latest = latest_mincut(g, v, s).members
+        minimal = minimal_mincut_side(g, v, s)
+        latest = latest_mincut(g, v, s)
         inter = frozenset.intersection(*seps)
         union = frozenset.union(*seps)
         assert minimal == inter
@@ -82,9 +84,9 @@ def test_latest_boundary_reachability(rng):
                                       rng.randrange(0, 14))
         v, s = rng.sample(range(g.n_live), 2)
         cut = latest_mincut(g, v, s)
-        boundary = {g.tail(e) for u in cut.members for e in g.out_edges(u)
-                    if g.head(e) not in cut.members}
-        sub, vmap = induced(g, cut.members)
+        boundary = {g.tail(e) for u in cut for e in g.out_edges(u)
+                    if g.head(e) not in cut}
+        sub, vmap = induced(g, cut)
         ov = ReversalOverlay(sub)
         reach = set(ov.bfs(vmap[v]))
         assert {vmap[b] for b in boundary} <= reach
@@ -99,19 +101,19 @@ def test_include_outgoing_edge(rng):
                                       rng.randrange(0, 14))
         v, s = rng.sample(range(g.n_live), 2)
         cut = latest_mincut(g, v, s)
-        sub, vmap = induced(g, cut.members)
+        lam = out_of(g, cut)
+        sub, vmap = induced(g, cut)
         reach_local = ReversalOverlay(sub).bfs(vmap[v])
         inv = {b: a for a, b in vmap.items()}
         reach = {inv[x] for x in reach_local}
-        exits = {g.head(e) for u in cut.members for e in g.out_edges(u)
-                 if g.head(e) not in cut.members}
+        exits = {g.head(e) for u in cut for e in g.out_edges(u)
+                 if g.head(e) not in cut}
         exits.discard(s)
         if not exits:
             continue
         for x in exits:
             merged, z = contract(g, reach | {x})
-            assert lambda_oracle(merged, z, s, cut.out_count + 1) \
-                > cut.out_count
+            assert lambda_oracle(merged, z, s, lam + 1) > lam
         done += 1
 
 
@@ -141,7 +143,7 @@ def test_minimum_set_after_reverse(rng):
         lam = lambda_oracle(g, v, s, 8)
         if lam < 2:
             continue
-        minimal = minimal_mincut_side(g, v, s).members
+        minimal = minimal_mincut_side(g, v, s)
         ov = ReversalOverlay(g)
         walk = random_walk(g, ov, rng, v, max_len=20)
         if not walk:
@@ -151,7 +153,7 @@ def test_minimum_set_after_reverse(rng):
             continue
         ov.reverse_path(walk)
         h = overlay_to_digraph(ov)
-        assert mset_oracle(h, v, s, lam - 1).members == minimal
+        assert mset_oracle(h, v, s, lam - 1) == minimal
         done += 1
 
 

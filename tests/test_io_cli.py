@@ -88,6 +88,7 @@ def test_cli_lambda_and_mset(tmp_path, capsys):
     assert doc["status"] == "found"
     assert doc["members"] == [6, 7, 8, 9, 10]
     assert doc["out"] == 2
+    assert doc["vol"] == 22
 
 
 def test_cli_components_verify_oracle(tmp_path, capsys):

@@ -6,14 +6,14 @@ import random
 import pytest
 
 import kecc.local_search as ls
-from kecc.digraph import Digraph, GraphError, ReversalOverlay
+from kecc.digraph import Digraph, GraphError, ReversalOverlay, out_of, vol_of
 from kecc.gen import gen_cyc, gen_kn
-from kecc.local_search import (EMPTY, SearchBudget, amplified_mset,
-                               find_out_paths, local_search_mset,
-                               randomized_local_search_mset)
+from kecc.local_search import (EMPTY, amplified_mset, find_out_paths,
+                               local_search_mset, randomized_local_search_mset)
 from kecc.oracle import BOTTOM, lambda_oracle, mset_oracle
 
-from conftest import fingerprint, random_strongly_connected, random_walk
+from conftest import (fingerprint, random_strongly_connected, random_walk,
+                      recording_budget)
 
 
 def test_find_out_paths_immediate_sink():
@@ -46,16 +46,17 @@ def test_find_out_paths_budget_instrumented(rng, monkeypatch):
             read[0] += 1
             yield entry
 
+    log = []
     monkeypatch.setattr(ReversalOverlay, "succ", counted)
-    with SearchBudget.capture() as log:
-        for _ in range(60):
-            g = random_strongly_connected(rng, rng.randrange(3, 9),
-                                          rng.randrange(0, 14))
-            v, s = rng.sample(range(g.n_live), 2)
-            k = rng.randrange(1, 4)
-            delta = rng.randrange(1, 12)
-            find_out_paths(ReversalOverlay(g), v, s, k, delta)
-    assert log
+    monkeypatch.setattr(ls, "SearchBudget", recording_budget(log))
+    for _ in range(60):
+        g = random_strongly_connected(rng, rng.randrange(3, 9),
+                                      rng.randrange(0, 14))
+        v, s = rng.sample(range(g.n_live), 2)
+        k = rng.randrange(1, 4)
+        delta = rng.randrange(1, 12)
+        find_out_paths(ReversalOverlay(g), v, s, k, delta)
+    assert len(log) == 60
     assert all(b.explored <= b.limit for b in log)
     assert read[0] == sum(b.explored for b in log)
 
@@ -94,8 +95,8 @@ def test_local_search_k5_found():
     g = gen_kn(5)
     res = local_search_mset(g, 1, 0, 4, 20)
     assert res.found
-    assert res.cut.sorted() == [1]
-    assert res.cut.out_count == 4
+    assert sorted(res.members) == [1]
+    assert out_of(g, res.members) == 4
 
 
 def test_local_search_k5_small_budget_stays_sound():
@@ -105,7 +106,7 @@ def test_local_search_k5_small_budget_stays_sound():
     g = gen_kn(5)
     res = local_search_mset(g, 1, 0, 4, 3)
     if res.found:
-        assert res.cut.sorted() == [1]
+        assert sorted(res.members) == [1]
 
 
 def test_local_search_no_separator_is_empty():
@@ -129,8 +130,8 @@ def test_local_search_completeness_sweep(rng):
                 res = local_search_mset(g, v, s, k, 4 * g.m_live)
                 assert not res.found
             else:
-                res = local_search_mset(g, v, s, k, want.vol)
-                assert res.found and res.cut.members == want.members
+                res = local_search_mset(g, v, s, k, vol_of(g, want))
+                assert res.found and res.members == want
                 checked += 1
     assert checked > 20
 
@@ -146,7 +147,7 @@ def test_local_search_soundness_sweep(rng):
         res = local_search_mset(g, v, s, k, delta)
         if res.found:
             want = mset_oracle(g, v, s, k)
-            assert want is not BOTTOM and res.cut.members == want.members
+            assert want is not BOTTOM and res.members == want
 
 
 def test_base_graph_untouched(rng):
@@ -164,7 +165,7 @@ def test_randomized_cycle_success_rate():
     for _ in range(1000):
         res = randomized_local_search_mset(g, 1, 0, 2, 12, rng)
         if res.found:
-            assert res.cut.sorted() == [1]
+            assert sorted(res.members) == [1]
             hits += 1
     assert hits >= 500
 
@@ -181,7 +182,7 @@ def test_randomized_soundness_random(rng):
                                            rng.randrange(1, g.m_live + 2), rng)
         if res.found:
             want = mset_oracle(g, v, s, k)
-            assert want is not BOTTOM and res.cut.members == want.members
+            assert want is not BOTTOM and res.members == want
 
 
 def test_randomized_above_level_stays_sound(rng):
@@ -243,7 +244,7 @@ def test_bfs_round_respects_cap():
 def test_amplified_finds_fixture():
     g = gen_cyc(6, 2)
     res = amplified_mset(g, 1, 0, 2, 12, 1 / 64, random.Random(5))
-    assert res.found and res.cut.sorted() == [1]
+    assert res.found and sorted(res.members) == [1]
 
 
 def test_search_argument_validation(rng):
@@ -255,8 +256,3 @@ def test_search_argument_validation(rng):
     with pytest.raises(GraphError):
         amplified_mset(g, 1, 0, 1, 3, 1.5, rng)
 
-
-def test_local_search_debug_precondition():
-    g = gen_cyc(4, 1)
-    with pytest.raises(GraphError):
-        local_search_mset(g, 1, 0, 2, 10, debug=True)  # lambda(1,0)=1 < 2

@@ -6,7 +6,7 @@ import pytest
 
 import kecc.flow
 import kecc.partitions
-from kecc.digraph import CutSet, Digraph, GraphError, contract
+from kecc.digraph import Digraph, GraphError, contract
 from kecc.flow import lambda_bounded
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn
 from kecc.local_search import EMPTY, MSetResult
@@ -71,10 +71,9 @@ def test_partition_canonical_block_ids():
 
 
 def test_partition_from_msets_grouping():
-    g = gen_kn(5)
     results = {}
     for v in range(1, 5):
-        results[v] = MSetResult.of(CutSet.compute(g, {v}))
+        results[v] = MSetResult(frozenset({v}))
     part = partition_from_msets(results, range(5), range(5))
     assert blocks_of(part) == [(0,), (1,), (2,), (3,), (4,)]
     allempty = partition_from_msets({v: EMPTY for v in range(5)},
@@ -83,8 +82,7 @@ def test_partition_from_msets_grouping():
 
 
 def test_partition_from_msets_aux_share_empty_block():
-    g = gen_kn(5)
-    results = {1: MSetResult.of(CutSet.compute(g, {1})), 2: EMPTY}
+    results = {1: MSetResult(frozenset({1})), 2: EMPTY}
     part = partition_from_msets(results, range(5), ordinary=[1, 2])
     assert part.same_block(2, 0) and part.same_block(3, 4)
     assert not part.same_block(1, 2)
@@ -164,7 +162,7 @@ def test_good_partition_deficient_planted_contract():
 
 def test_good_partition_deficient_one_flow_per_exit_head(monkeypatch):
     g, v, s = planted_deficient()
-    latest = latest_oracle(g, v, s).members
+    latest = latest_oracle(g, v, s)
     heads = [g.head(e) for u in latest for e in g.out_edges(u)
              if g.head(e) not in latest and g.head(e) != s]
     assert heads
@@ -317,9 +315,9 @@ def test_good_partition_full_separation_contract(rng):
             if u == s or lambda_bounded(g, u, s, k + 2) != k + 1:
                 continue
             mu = mset_oracle(g, u, s, k + 1)
-            if mu is BOTTOM or v not in mu.members:
+            if mu is BOTTOM or v not in mu:
                 continue
             for w in g.vertices():
-                if w not in mu.members:
+                if w not in mu:
                     assert not part.same_block(u, w)
         done += 1
