@@ -32,8 +32,11 @@ K2ECC_DIGESTS = {
     ("exact", 2): "cc0aceba35610da2619a8c423671e0f5d988ea100b2ea84a6019d5329afe774a",
 }
 
-# decompose_kecc(gen_chain(30, 6, 1), k=2, delta=0.25, "rand")
+# decompose_kecc(gen_chain(30, 6, 1), k=2, delta=0.25, "rand"): the piece
+# rows with the next rng draw, and the rows alone, which no change in how
+# many draws the decomposition makes can move
 PIECES_DIGEST = "96c985d960f4703230a3ec18171f4e5f0706a09efb112ea47b6c69c7136d04c0"
+PIECES_ROWS_DIGEST = "a052af8d92d4061f2079299a077fdd4df6066004c6319757f985d26f3fd54fcd"
 
 # compute_4ecc_prepared(piece.graph, 0.25, "rand", rng) over the pieces of
 # decompose_kecc(g, 2, 0.25, "rand", Random(0)), one rng = Random(1) shared
@@ -66,7 +69,9 @@ def k2ecc_run(mode, seed):
     return g, part, _digest([labels, stats, rng.random()])
 
 
-def pieces_digest():
+def piece_rows():
+    """(rows, rng) of the pinned decomposition: one row per piece, and the
+    rng the decomposition drew from."""
     g = gen_chain(30, 6, 1)
     rng = random.Random(0)
     rows = []
@@ -76,6 +81,11 @@ def pieces_digest():
                      for v in h.vertices()]
         rows.append([p.orig, p.ordinary, list(p.provenance), h.kind,
                      adjacency])
+    return rows, rng
+
+
+def pieces_digest():
+    rows, rng = piece_rows()
     return _digest([rows, rng.random()])
 
 
@@ -129,6 +139,10 @@ def test_k2ecc_rand_pins_split_no_connected_pair(seed):
 
 def test_decomposition_pieces_byte_stable():
     assert pieces_digest() == PIECES_DIGEST
+
+
+def test_decomposition_piece_rows_byte_stable():
+    assert _digest(piece_rows()[0]) == PIECES_ROWS_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(LOW_DIGESTS))
