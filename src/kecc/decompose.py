@@ -39,24 +39,44 @@ def proper_order(g, s, k):
     """Group vertices by their minimal k-out set avoiding s, in an order
     consistent with containment of those sets.
 
-    Sets are found by bounded max-flow plus residual reachability.  Equal
-    cardinality rules out strict containment, so ordering by (size, smallest
-    member) is always a valid proper order.
+    Sets are found by bounded max-flow plus residual reachability.  Each
+    side S of more than one vertex that a flow on g returns is built once
+    as a side graph (S with its complement contracted into one vertex), and
+    every later vertex u of S is classified there, from u to the contracted
+    complement, at a cost that follows vol(S) instead of u's distance to s.
+    That is exact: any (u, s)-cut T meets S in a cut with d+(T & S) <= d+(T),
+    since d+(T | S) >= k = d+(S) by submodularity, so lambda(u, s) and u's
+    minimal side are the same on the side graph as on g.  Equal cardinality
+    rules out strict containment, so ordering by (size, smallest member) is
+    always a valid proper order.
     """
     by_set = {}
     bottom = []
+    side_of = {}  # vertex of g -> (side graph, its vertex ids in g)
     for v in g.ordinary_vertices():
         if v == s:
             bottom.append(v)
             continue
-        lam = lambda_bounded(g, v, s, k + 1)
+        h, hv, hs, back = g, v, s, None
+        if v in side_of:
+            aux, back = side_of[v]
+            h, hv, hs = aux.graph, aux.vmap[v], aux.vbar
+        lam = lambda_bounded(h, hv, hs, k + 1)
         if lam > k:
             bottom.append(v)
             continue
         if lam < k:
             raise GraphError(
                 f"graph is not {k}-edge-connected: lambda({v},{s})={lam}")
-        by_set.setdefault(minimal_mincut_side(g, v, s), []).append(v)
+        side = minimal_mincut_side(h, hv, hs)
+        if back is not None:
+            side = frozenset(back[x] for x in side)
+        elif len(side) > 1:
+            aux = contract_complement_reduced(g, side, k)
+            local = (aux, {new: old for old, new in aux.vmap.items()})
+            for u in side:
+                side_of.setdefault(u, local)
+        by_set.setdefault(side, []).append(v)
     classes = [(members, key) for key, members in by_set.items()]
     classes.sort(key=lambda mc: (len(mc[1]), min(mc[1])))
     classes.append((bottom, None))
@@ -85,10 +105,17 @@ class DecompPiece:
         return {o: v for v, o in enumerate(self.orig) if o is not None}
 
 
-def _find_min_out_set(gev, v, s, k, m0, mode, reps, rng):
-    """Locate the minimal k-out set of v avoiding s in the evolving graph,
-    with doubling volume budgets; raise if it is missed or found too late."""
-    delta = 1
+def _find_min_out_set(gev, members, s, k, m0, mode, reps, rng):
+    """Locate the minimal k-out set of a class avoiding s in the evolving
+    graph, with doubling volume budgets; raise if it is missed or found too
+    late.
+
+    The set holds the class's members, which no earlier contraction touched,
+    so its volume is at least theirs and every smaller budget would fail:
+    the doubling starts at the largest power of two <= vol(members).
+    """
+    v = members[0]
+    delta = 1 << (max(1, vol_of(gev, members)).bit_length() - 1)
     while True:
         if mode == "det":
             found = local_search_mset(gev, v, s, k, delta).members
@@ -134,7 +161,7 @@ def _phase(g, orig, s, k, m0, mode, reps, rng):
     gev.enable_lazy()
     out = []
     for members, _cut in order.non_bottom():
-        found = _find_min_out_set(gev, members[0], s, k, m0, mode, reps, rng)
+        found = _find_min_out_set(gev, members, s, k, m0, mode, reps, rng)
         if {u for u in found if gev.kind[u] == ORDINARY} != set(members):
             raise DecompositionError(
                 f"set found for vertex {members[0]} is not its class")

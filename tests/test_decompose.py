@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 import kecc.decompose as dc
 from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
                             verify_decomposition)
-from kecc.digraph import AUX_KOUT, GraphError, materialize, out_of, vol_of
+from kecc.digraph import (AUX_KOUT, GraphError, from_arcs, materialize, out_of,
+                          vol_of)
+from kecc.flow import lambda_bounded, minimal_mincut_side
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
 from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import enumerate_separators, mutually_connected
 
-from conftest import fingerprint
+from conftest import fingerprint, random_strongly_connected
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
                     database=None)
@@ -60,6 +62,107 @@ def test_proper_order_rejects_underconnected():
     g = gen_cyc(4, 1)
     with pytest.raises(GraphError):
         proper_order(g, 0, 2)
+
+
+def reference_order(g, s, k):
+    """proper_order's classes from one pair of flows on g per vertex."""
+    by_set = {}
+    bottom = []
+    for v in g.ordinary_vertices():
+        lam = k + 1 if v == s else lambda_bounded(g, v, s, k + 1)
+        if lam > k:
+            bottom.append(v)
+            continue
+        if lam < k:
+            raise GraphError(
+                f"graph is not {k}-edge-connected: lambda({v},{s})={lam}")
+        by_set.setdefault(minimal_mincut_side(g, v, s), []).append(v)
+    classes = sorted(((m, c) for c, m in by_set.items()),
+                     key=lambda mc: (len(mc[1]), min(mc[1])))
+    return classes + [(bottom, None)]
+
+
+@st.composite
+def order_cases(draw):
+    """(g, s, k) on block chains, unions of Hamiltonian cycles and random
+    strongly connected graphs; the last are often not k-edge-connected."""
+    family = draw(st.sampled_from(("chain", "kec", "strong")))
+    if family == "chain":
+        g = gen_chain(draw(st.integers(2, 5)), draw(st.integers(2, 5)),
+                      draw(st.integers(1, 2)))
+    elif family == "kec":
+        n = draw(st.integers(3, 10))
+        g = gen_random_kec(n, draw(st.integers(1, 2)), draw(st.integers(0, n)),
+                           draw(st.integers(0, 10**6)))
+    else:
+        g = random_strongly_connected(random.Random(draw(st.integers(0, 10**6))),
+                                      draw(st.integers(3, 9)),
+                                      draw(st.integers(0, 20)))
+    return g, draw(st.sampled_from(g.vertices())), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(order_cases())
+def test_proper_order_matches_whole_graph_flows(case):
+    # classifying inside a found side gives the classes, their order and the
+    # precondition error that whole-graph flows give
+    g, s, k = case
+    try:
+        expected = reference_order(g, s, k)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            proper_order(g, s, k)
+        assert str(got.value) == str(exc)
+    else:
+        assert proper_order(g, s, k).classes == expected
+
+
+def test_proper_order_flows_follow_blocks(monkeypatch):
+    # one whole-graph flow per block of 6, not one per vertex (179 before)
+    g = gen_chain(30, 6, 1)
+    graphs = []
+
+    def recorded(h, u, v, cap):
+        graphs.append(h)
+        return lambda_bounded(h, u, v, cap)
+
+    monkeypatch.setattr(dc, "lambda_bounded", recorded)
+    proper_order(g, 0, 2)
+    assert len(graphs) == 179
+    assert sum(h is g for h in graphs) <= 34
+
+
+def test_proper_order_side_graph_keeps_precondition(monkeypatch):
+    # S = {1, 2} is vertex 1's minimal side; vertex 2 is checked on S's side
+    # graph and still fails lambda(2, 0) >= 2
+    g = from_arcs(3, [(0, 1, 2), (0, 2, 1), (1, 2, 2), (1, 0, 1), (2, 0, 1)])
+    graphs = []
+
+    def recorded(h, u, v, cap):
+        graphs.append(h)
+        return lambda_bounded(h, u, v, cap)
+
+    monkeypatch.setattr(dc, "lambda_bounded", recorded)
+    with pytest.raises(GraphError, match=r"lambda\(2,0\)=1"):
+        proper_order(g, 0, 2)
+    assert graphs[0] is g and graphs[-1] is not g
+
+
+def test_class_search_starts_at_volume_floor(monkeypatch):
+    # every block of gen_chain(30, 6, 1) has volume 32; no search runs below
+    # it (the doubling from 1 ran 3259 searches and found the same 58 sets)
+    real = dc.randomized_local_search_mset
+    runs = []
+
+    def recorded(g, v, s, k, delta, rng):
+        res = real(g, v, s, k, delta, rng)
+        runs.append((delta, res.found))
+        return res
+
+    monkeypatch.setattr(dc, "randomized_local_search_mset", recorded)
+    decompose_kecc(gen_chain(30, 6, 1), 2, 0.25, "rand", random.Random(0))
+    assert {delta for delta, _found in runs} == {32}
+    assert sum(found for _delta, found in runs) == 58
 
 
 def test_decompose_kn_single_piece():
