@@ -25,8 +25,8 @@ K2ECC_DIGESTS = {
     ("det", 1): "525280de79ca7ce2d7ad9aa4767c6ab29adf1371d22b5968d8340a5100746f23",
     ("det", 2): "156182334a6557d83e0f1d197a4ab6f71aa03d1c47e56387454f240b058405fc",
     ("rand", 0): "bd2415b0db121f2a204236252089bb7dec965cfe1b7e7138efe0738c0625753e",
-    ("rand", 1): "639ce99a39dfecd80934610ce395e051c1959124d7aafa9c2d2bb43588c4824a",
-    ("rand", 2): "0f5da595f570565555e22eae4707b32b32bb6609ce6735e5b5e69423b92357ca",
+    ("rand", 1): "5bec8f82a0d74e1f4e31c1d21498cef10bdd11e45595ef597a02af17f09c9df5",
+    ("rand", 2): "47232618cf61b49d16b5c3373bd945c85ceecc7b3b2ade2c3eb1384c551923c7",
     ("exact", 0): "1b099544f70efd137edbac1136fef07cff6e962feee557c265aad36d4ed6162a",
     ("exact", 1): "371c30c111a9a9c894d314f05e1b73c76af4e686ab4a2fc595ed326b19a5e1c3",
     ("exact", 2): "cc0aceba35610da2619a8c423671e0f5d988ea100b2ea84a6019d5329afe774a",
@@ -35,7 +35,7 @@ K2ECC_DIGESTS = {
 # decompose_kecc(gen_chain(30, 6, 1), k=2, delta=0.25, "rand"): the piece
 # rows with the next rng draw, and the rows alone, which no change in how
 # many draws the decomposition makes can move
-PIECES_DIGEST = "96c985d960f4703230a3ec18171f4e5f0706a09efb112ea47b6c69c7136d04c0"
+PIECES_DIGEST = "7da14d35a97c6155bf6ef03442dd906eda0b42cbeee511862450395276363ac8"
 PIECES_ROWS_DIGEST = "a052af8d92d4061f2079299a077fdd4df6066004c6319757f985d26f3fd54fcd"
 
 # compute_4ecc_prepared(piece.graph, 0.25, "rand", rng) over the pieces of
