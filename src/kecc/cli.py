@@ -63,6 +63,9 @@ def _cmd_lambda(args):
 def _cmd_mset(args):
     g = _read_graph(args.graph)
     v, s = args.v - 1, args.s - 1
+    for flag, x in (("--v", args.v), ("--s", args.s)):
+        if not g.is_live(x - 1):
+            raise GraphError(f"{flag} vertex {x} is not live")
     if args.mode == "det":
         res = local_search_mset(g, v, s, args.k, args.delta_budget)
     else:

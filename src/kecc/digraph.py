@@ -782,19 +782,3 @@ def materialize(g):
             h.add_edge(vmap[v], vmap[g.head(e)])
     return h, vmap
 
-
-def induced(g, members):
-    """Subgraph induced by a vertex set, compacted; returns (graph, mapping)."""
-    memb = set(members)
-    h = Digraph()
-    vmap = {}
-    for v in sorted(memb):
-        if not g.is_live(v):
-            raise GraphError(f"vertex {v} is not live")
-        vmap[v] = h.add_vertex(g.kind[v])
-    for v in sorted(memb):
-        for e in g.out_edges(v):
-            hd = g.head(e)
-            if hd in memb:
-                h.add_edge(vmap[v], vmap[hd])
-    return h, vmap

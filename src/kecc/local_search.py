@@ -49,6 +49,14 @@ class MSetResult:
 EMPTY = MSetResult(None)
 
 
+def _check_ends(g, v, s):
+    """Reject a start vertex or root that is not a distinct live vertex."""
+    if v == s:
+        raise GraphError("start vertex and root must differ")
+    if not (g.is_live(v) and g.is_live(s)):
+        raise GraphError(f"start vertex {v} and root {s} must be live")
+
+
 def find_out_paths(ov, v, s, k, delta, budget=None):
     """Collect up to 2k tree paths from v, one of which must end outside any
     k-out set of volume <= delta separating v from s.
@@ -59,8 +67,7 @@ def find_out_paths(ov, v, s, k, delta, budget=None):
     of s short-circuits everything: the single path to s is returned (it ends
     outside every set avoiding s).  Total exploration <= (2k+1)(delta+1).
     """
-    if v == s:
-        raise GraphError("start vertex and root must differ")
+    _check_ends(ov.g, v, s)
     if k < 1 or delta < 1:
         raise GraphError("need k >= 1 and delta >= 1")
     if budget is None:
@@ -119,6 +126,7 @@ def local_search_mset(g, v, s, k, delta):
     paths, reverse one, recurse a level down; at level zero a plain bounded
     exploration either exhibits the set or fails.
     """
+    _check_ends(g, v, s)
     members = _search_level(ReversalOverlay(g), v, s, k, delta)
     if members is None:
         return EMPTY
@@ -152,8 +160,7 @@ def randomized_local_search_mset(g, v, s, k, delta, rng):
 
 
 def _randomized_search(g, v, s, k, delta, rng):
-    if v == s:
-        raise GraphError("start vertex and root must differ")
+    _check_ends(g, v, s)
     ov = ReversalOverlay(g)
     used_rng = False
     for _ in range(k):

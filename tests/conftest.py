@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
-from kecc.digraph import AUX_OTHER, Digraph
+from kecc.digraph import AUX_OTHER, Digraph, GraphError
 from kecc.local_search import SearchBudget
 
 
@@ -70,6 +71,51 @@ def recording_budget(log):
             log.append(self)
 
     return Recorded
+
+
+class _Stuck(Exception):
+    pass
+
+
+def step_limited(steps, fn, *args):
+    """fn(*args), or a failed assertion once it has traced `steps` events,
+    so that a search stuck in a loop fails, and shrinks, like any other
+    counterexample.  The assertion is raised outside the handler, which
+    releases the interrupted frames."""
+    left = [steps]
+
+    def trace(_frame, _event, _arg):
+        left[0] -= 1
+        if left[0] < 0:
+            raise _Stuck
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        return fn(*args)
+    except _Stuck:
+        pass
+    finally:
+        sys.settrace(previous)
+    raise AssertionError(f"no result within {steps} traced steps")
+
+
+def induced(g, members):
+    """Subgraph induced by a vertex set, compacted; returns (graph, mapping)."""
+    memb = set(members)
+    h = Digraph()
+    vmap = {}
+    for v in sorted(memb):
+        if not g.is_live(v):
+            raise GraphError(f"vertex {v} is not live")
+        vmap[v] = h.add_vertex(g.kind[v])
+    for v in sorted(memb):
+        for e in g.out_edges(v):
+            hd = g.head(e)
+            if hd in memb:
+                h.add_edge(vmap[v], vmap[hd])
+    return h, vmap
 
 
 def fingerprint(g):

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecc.digraph import (Digraph, GraphError, ReversalOverlay, contract,
-                          induced, out_of)
+from kecc.digraph import Digraph, GraphError, ReversalOverlay, contract, out_of
 from kecc.flow import (flow_state, lambda_bounded, latest_mincut,
                        minimal_mincut_side, pq_graph)
 from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
 from kecc.oracle import (enumerate_separators, lambda_oracle, latest_oracle,
                          mset_oracle)
 
-from conftest import overlay_to_digraph, random_strongly_connected, random_walk
+from conftest import (induced, overlay_to_digraph, random_strongly_connected,
+                      random_walk)
 
 
 def test_lambda_fixtures():

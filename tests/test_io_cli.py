@@ -91,6 +91,18 @@ def test_cli_lambda_and_mset(tmp_path, capsys):
     assert doc["vol"] == 22
 
 
+def test_cli_mset_rejects_bad_vertex(tmp_path, capsys):
+    # --v and --s are 1-based: 0 and ids past n are input errors
+    path = tmp_path / "b.gr"
+    main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",
+          str(path)])
+    for flag, other, bad in (("--v", "--s", "0"), ("--s", "--v", "0"),
+                             ("--v", "--s", "99")):
+        assert main(["mset", str(path), flag, bad, other, "2",
+                     "--k", "2"]) == 1
+        assert f"{flag} vertex {bad} is not live" in capsys.readouterr().err
+
+
 def test_cli_components_verify_oracle(tmp_path, capsys):
     graph = tmp_path / "g.gr"
     got = tmp_path / "got.json"

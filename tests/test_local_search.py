@@ -7,13 +7,13 @@ import pytest
 
 import kecc.local_search as ls
 from kecc.digraph import Digraph, GraphError, ReversalOverlay, out_of, vol_of
-from kecc.gen import gen_cyc, gen_kn
+from kecc.gen import gen_blocks, gen_cyc, gen_kn
 from kecc.local_search import (EMPTY, amplified_mset, find_out_paths,
                                local_search_mset, randomized_local_search_mset)
 from kecc.oracle import BOTTOM, lambda_oracle, mset_oracle
 
 from conftest import (fingerprint, random_strongly_connected, random_walk,
-                      recording_budget)
+                      recording_budget, step_limited)
 
 
 def test_find_out_paths_immediate_sink():
@@ -256,3 +256,16 @@ def test_search_argument_validation(rng):
     with pytest.raises(GraphError):
         amplified_mset(g, 1, 0, 1, 3, 1.5, rng)
 
+
+def test_searches_reject_non_live_ends():
+    # -1 used to read the last vertex's ring, and the randomized search
+    # followed its tree round a cycle without end
+    g = gen_blocks(5, 5, 2)
+    for v, s in ((-1, 0), (0, -1), (99, 0), (0, 99)):
+        with pytest.raises(GraphError, match="must be live"):
+            local_search_mset(g, v, s, 2, 40)
+        with pytest.raises(GraphError, match="must be live"):
+            find_out_paths(ReversalOverlay(g), v, s, 2, 40)
+        with pytest.raises(GraphError, match="must be live"):
+            step_limited(200000, randomized_local_search_mset, g, v, s, 2,
+                         40, random.Random(1))

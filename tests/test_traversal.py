@@ -4,8 +4,6 @@ random paths reversed, and of the flows built on it against the oracle."""
 
 from __future__ import annotations
 
-import sys
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +11,7 @@ from kecc.digraph import Digraph, ReversalOverlay
 from kecc.flow import flow_state
 from kecc.oracle import lambda_oracle
 
-from conftest import random_walk
+from conftest import random_walk, step_limited
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -40,34 +38,6 @@ def overlays(draw):
         if path:
             ov.reverse_path(path)
     return ov
-
-
-class _Stuck(Exception):
-    pass
-
-
-def step_limited(steps, fn, *args):
-    """fn(*args), or a failed assertion once it has traced `steps` events,
-    so that a search stuck in a loop fails, and shrinks, like any other
-    counterexample.  The assertion is raised outside the handler, which
-    releases the interrupted frames."""
-    left = [steps]
-
-    def trace(_frame, _event, _arg):
-        left[0] -= 1
-        if left[0] < 0:
-            raise _Stuck
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        return fn(*args)
-    except _Stuck:
-        pass
-    finally:
-        sys.settrace(previous)
-    raise AssertionError(f"no result within {steps} traced steps")
 
 
 def brute_reach(ov, src, backward=False):
