@@ -1,11 +1,15 @@
 """Decomposition of a k-edge-connected digraph into pieces whose ordinary
 vertices are (k+1)-edge-connected, preserving (k+2)-edge-connectivity.
 
-Minimal k-out sets around a fixed root are located by local search with
-doubling volume budgets, processed in an order consistent with set
-containment, and contracted away: once eagerly into a standalone piece for
-the class just handled, once lazily in the evolving graph.  A second phase
-repeats the construction on the reverse of every piece.
+Vertices are first grouped into classes by their minimal k-out set around a
+fixed root, with flows; a vertex inside a side already found is classified
+on that side's graph, so the flows cost the volume of the sets rather than
+the distance to the root.  Classes are processed in an order consistent with
+set containment: each set is located again in the evolving graph by local
+search, with volume budgets doubling from the volume of the class itself,
+and contracted away, once eagerly into a standalone piece for the class just
+handled, once lazily in the evolving graph.  A second phase repeats the
+construction on the reverse of every piece.
 """
 
 from __future__ import annotations
@@ -39,48 +43,61 @@ def proper_order(g, s, k):
     """Group vertices by their minimal k-out set avoiding s, in an order
     consistent with containment of those sets.
 
-    Sets are found by bounded max-flow plus residual reachability.  Each
-    side S of more than one vertex that a flow on g returns is built once
-    as a side graph (S with its complement contracted into one vertex), and
-    every later vertex u of S is classified there, from u to the contracted
-    complement, at a cost that follows vol(S) instead of u's distance to s.
-    That is exact: any (u, s)-cut T meets S in a cut with d+(T & S) <= d+(T),
-    since d+(T | S) >= k = d+(S) by submodularity, so lambda(u, s) and u's
-    minimal side are the same on the side graph as on g.  Equal cardinality
-    rules out strict containment, so ordering by (size, smallest member) is
-    always a valid proper order.
+    Sets are found by bounded max-flow plus residual reachability.  A side
+    of more than one vertex that a flow on g returns classifies its later
+    vertices at once, on its side graph (see _classify_inside); the others
+    take flows on g.  Equal cardinality rules out strict containment, so
+    ordering by (size, smallest member) is always a valid proper order.
     """
     by_set = {}
     bottom = []
-    side_of = {}  # vertex of g -> (side graph, its vertex ids in g)
+    inside = {}  # later vertex -> (lambda, minimal side) from a side graph
     for v in g.ordinary_vertices():
         if v == s:
             bottom.append(v)
             continue
-        h, hv, hs, back = g, v, s, None
-        if v in side_of:
-            aux, back = side_of[v]
-            h, hv, hs = aux.graph, aux.vmap[v], aux.vbar
-        lam = lambda_bounded(h, hv, hs, k + 1)
+        lam, side = inside.pop(v, (None, None))
+        if lam is None:
+            lam = lambda_bounded(g, v, s, k + 1)
         if lam > k:
             bottom.append(v)
             continue
         if lam < k:
             raise GraphError(
                 f"graph is not {k}-edge-connected: lambda({v},{s})={lam}")
-        side = minimal_mincut_side(h, hv, hs)
-        if back is not None:
-            side = frozenset(back[x] for x in side)
-        elif len(side) > 1:
-            aux = contract_complement_reduced(g, side, k)
-            local = (aux, {new: old for old, new in aux.vmap.items()})
-            for u in side:
-                side_of.setdefault(u, local)
+        if side is None:
+            side = minimal_mincut_side(g, v, s)
+            if len(side) > 1:
+                _classify_inside(g, side, v, k, inside)
         by_set.setdefault(side, []).append(v)
     classes = [(members, key) for key, members in by_set.items()]
     classes.sort(key=lambda mc: (len(mc[1]), min(mc[1])))
     classes.append((bottom, None))
     return ProperOrder(classes)
+
+
+def _classify_inside(g, side, v, k, inside):
+    """Record in inside the lambda and minimal side of every ordinary vertex
+    of v's minimal side that comes after v and is not yet recorded.
+
+    Each is read on the side graph (side with its complement contracted),
+    from the vertex to the contracted complement, at a cost that follows
+    vol(side) instead of the distance to the root.  That is exact: any
+    (u, s)-cut T meets the side S in a cut with d+(T & S) <= d+(T), since
+    d+(T | S) >= k = d+(S) by submodularity, so lambda(u, s) and u's minimal
+    side are the same on the side graph as on g.
+    """
+    aux = contract_complement_reduced(g, side, k)
+    back = {new: old for old, new in aux.vmap.items()}
+    for u in sorted(side):
+        if u <= v or g.kind[u] != ORDINARY or u in inside:
+            continue
+        lam = lambda_bounded(aux.graph, aux.vmap[u], aux.vbar, k + 1)
+        cut = None
+        if lam == k:
+            cut = frozenset(back[x] for x in minimal_mincut_side(
+                aux.graph, aux.vmap[u], aux.vbar))
+        inside[u] = (lam, cut)
 
 
 @dataclass
