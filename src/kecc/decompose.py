@@ -89,6 +89,7 @@ def _classify_inside(g, side, v, k, inside):
     """
     aux = contract_complement_reduced(g, side, k)
     back = {new: old for old, new in aux.vmap.items()}
+    cuts = {}  # equal sides share one frozenset while they wait in inside
     for u in sorted(side):
         if u <= v or g.kind[u] != ORDINARY or u in inside:
             continue
@@ -97,6 +98,7 @@ def _classify_inside(g, side, v, k, inside):
         if lam == k:
             cut = frozenset(back[x] for x in minimal_mincut_side(
                 aux.graph, aux.vmap[u], aux.vbar))
+            cut = cuts.setdefault(cut, cut)
         inside[u] = (lam, cut)
 
 
