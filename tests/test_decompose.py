@@ -95,8 +95,8 @@ def order_cases(draw):
         g = gen_random_kec(n, draw(st.integers(1, 2)), draw(st.integers(0, n)),
                            draw(st.integers(0, 10**6)))
     else:
-        g = random_strongly_connected(random.Random(draw(st.integers(0, 10**6))),
-                                      draw(st.integers(3, 9)),
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        g = random_strongly_connected(rng, draw(st.integers(3, 9)),
                                       draw(st.integers(0, 20)))
     return g, draw(st.sampled_from(g.vertices())), draw(st.integers(1, 3))
 
@@ -117,9 +117,9 @@ def test_proper_order_matches_whole_graph_flows(case):
         assert proper_order(g, s, k).classes == expected
 
 
-def test_proper_order_flows_follow_blocks(monkeypatch):
-    # one whole-graph flow per block of 6, not one per vertex (179 before)
-    g = gen_chain(30, 6, 1)
+def recorded_flow_graphs(monkeypatch):
+    """The list that receives the graph of each lambda_bounded call that
+    proper_order makes from now on."""
     graphs = []
 
     def recorded(h, u, v, cap):
@@ -127,6 +127,13 @@ def test_proper_order_flows_follow_blocks(monkeypatch):
         return lambda_bounded(h, u, v, cap)
 
     monkeypatch.setattr(dc, "lambda_bounded", recorded)
+    return graphs
+
+
+def test_proper_order_flows_follow_blocks(monkeypatch):
+    # one whole-graph flow per block of 6, not one per vertex (179 before)
+    g = gen_chain(30, 6, 1)
+    graphs = recorded_flow_graphs(monkeypatch)
     proper_order(g, 0, 2)
     assert len(graphs) == 179
     assert sum(h is g for h in graphs) <= 34
@@ -136,13 +143,7 @@ def test_proper_order_side_graph_keeps_precondition(monkeypatch):
     # S = {1, 2} is vertex 1's minimal side; vertex 2 is checked on S's side
     # graph and still fails lambda(2, 0) >= 2
     g = from_arcs(3, [(0, 1, 2), (0, 2, 1), (1, 2, 2), (1, 0, 1), (2, 0, 1)])
-    graphs = []
-
-    def recorded(h, u, v, cap):
-        graphs.append(h)
-        return lambda_bounded(h, u, v, cap)
-
-    monkeypatch.setattr(dc, "lambda_bounded", recorded)
+    graphs = recorded_flow_graphs(monkeypatch)
     with pytest.raises(GraphError, match=r"lambda\(2,0\)=1"):
         proper_order(g, 0, 2)
     assert graphs[0] is g and graphs[-1] is not g
