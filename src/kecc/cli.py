@@ -53,19 +53,25 @@ def _cmd_gen(args):
     return 0
 
 
+def _live(g, flag, x):
+    """The 0-based id of the 1-based vertex x given with flag; raises
+    naming x when it is not live."""
+    if not g.is_live(x - 1):
+        raise GraphError(f"{flag} vertex {x} is not live")
+    return x - 1
+
+
 def _cmd_lambda(args):
     g = _read_graph(args.graph)
-    value = lambda_bounded(g, args.src - 1, args.dst - 1, args.cap)
+    value = lambda_bounded(g, _live(g, "--from", args.src),
+                           _live(g, "--to", args.dst), args.cap)
     print(value)
     return 0
 
 
 def _cmd_mset(args):
     g = _read_graph(args.graph)
-    v, s = args.v - 1, args.s - 1
-    for flag, x in (("--v", args.v), ("--s", args.s)):
-        if not g.is_live(x - 1):
-            raise GraphError(f"{flag} vertex {x} is not live")
+    v, s = _live(g, "--v", args.v), _live(g, "--s", args.s)
     if args.mode == "det":
         res = local_search_mset(g, v, s, args.k, args.delta_budget)
     else:

@@ -4,12 +4,15 @@ vertices are (k+1)-edge-connected, preserving (k+2)-edge-connectivity.
 Vertices are first grouped into classes by their minimal k-out set around a
 fixed root, with flows; a vertex inside a side already found is classified
 on that side's graph, so the flows cost the volume of the sets rather than
-the distance to the root.  Classes are processed in an order consistent with
-set containment: each set is located again in the evolving graph by local
-search, with volume budgets doubling from the volume of the class itself,
-and contracted away, once eagerly into a standalone piece for the class just
-handled, once lazily in the evolving graph.  A second phase repeats the
-construction on the reverse of every piece.
+the distance to the root.  A flow on the whole graph ends at the root or at
+any vertex already found (k+1)-connected to it: by the lemma in the flow
+module, cuts of value at most k avoid such vertices, so the value and the
+set are the same as for a flow to the root alone.  Classes are processed in
+an order consistent with set containment: each set is located again in the
+evolving graph by local search, with volume budgets doubling from the volume
+of the class itself, and contracted away, once eagerly into a standalone
+piece for the class just handled, once lazily in the evolving graph.  A
+second phase repeats the construction on the reverse of every piece.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from dataclasses import dataclass, field
 
 from .digraph import (AUX_KOUT, ORDINARY, Digraph, GraphError,
                       contract_complement_reduced, materialize, vol_of)
-from .flow import lambda_bounded, minimal_mincut_side
+from .flow import CertifiedSink, lambda_bounded, minimal_mincut_side
 from .local_search import local_search_mset, randomized_local_search_mset
+from .validation import check_k
 
 
 class DecompositionError(RuntimeError):
@@ -43,30 +47,37 @@ def proper_order(g, s, k):
     """Group vertices by their minimal k-out set avoiding s, in an order
     consistent with containment of those sets.
 
-    Sets are found by bounded max-flow plus residual reachability.  A side
-    of more than one vertex that a flow on g returns classifies its later
-    vertices at once, on its side graph (see _classify_inside); the others
-    take flows on g.  Equal cardinality rules out strict containment, so
-    ordering by (size, smallest member) is always a valid proper order.
+    Sets are found by one max-flow capped at k+1 per vertex, read twice:
+    its value is min(lambda(v, s), k+1) and, at lambda = k, the residual
+    reach of v is the set.  Each flow on g runs into s and the bottom
+    vertices found so far (those with lambda(u, s) >= k+1), which by the
+    lemma in the flow module gives the same value and set as a flow to s
+    alone.  A side of more than one vertex that a flow on g returns
+    classifies its later vertices at once, on its side graph (see
+    _classify_inside); the others take flows on g.  Equal cardinality rules
+    out strict containment, so ordering by (size, smallest member) is
+    always a valid proper order.
     """
     by_set = {}
     bottom = []
     inside = {}  # later vertex -> (lambda, minimal side) from a side graph
+    sink = CertifiedSink(g, s, k + 1)
     for v in g.ordinary_vertices():
         if v == s:
             bottom.append(v)
             continue
         lam, side = inside.pop(v, (None, None))
         if lam is None:
-            lam = lambda_bounded(g, v, s, k + 1)
+            lam, reach = sink.flow(v)
         if lam > k:
+            sink.certify(v)
             bottom.append(v)
             continue
         if lam < k:
             raise GraphError(
                 f"graph is not {k}-edge-connected: lambda({v},{s})={lam}")
         if side is None:
-            side = minimal_mincut_side(g, v, s)
+            side = frozenset(reach)
             if len(side) > 1:
                 _classify_inside(g, side, v, k, inside)
         by_set.setdefault(side, []).append(v)
@@ -202,6 +213,7 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
     The first phase runs on g from s (default: the smallest live vertex),
     the second on the reverse of each of its outputs.
     """
+    check_k(k)
     if mode not in ("det", "rand"):
         raise GraphError(f"unknown mode {mode!r}")
     if mode == "rand" and rng is None:

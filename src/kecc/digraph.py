@@ -416,7 +416,8 @@ class ReversalOverlay:
     The base graph is never touched; rewind restores the overlay to an
     earlier journal mark exactly.  Flows find augmenting paths with the
     two-sided search augmenting_path and read residual reach with bfs; local
-    searches walk the overlay with bounded_bfs.
+    searches walk the overlay with bounded_bfs.  path_into serves flows into
+    a set of sinks marked in a bytearray.
     """
 
     def __init__(self, g):
@@ -583,6 +584,36 @@ class ReversalOverlay:
                 tree[z] = e
                 bq.append(z)
         return None
+
+    def path_into(self, src, marked):
+        """Forward breadth-first search from an unmarked src that stops at
+        the first vertex marked in the bytearray marked and never expands
+        one.
+
+        Returns (path, None), with the edges of the path from src to that
+        vertex in walk order, or (None, reach) when no marked vertex is
+        reachable, with the vertices reached in discovery order.  Only the
+        vertices seen are recorded, so a search that ends near src costs
+        the edges around it.
+        """
+        tree = {src: -1}  # edge each seen vertex was reached by
+        queue = [src]
+        dirty = self.dirty
+        snap = self._snapshot()
+        for x in queue:
+            if snap is not None and x not in dirty:
+                flat = iter(snap[x])
+                adj = zip(flat, flat)
+            else:
+                adj = self.succ(x)
+            for e, y in adj:
+                if y in tree:
+                    continue
+                tree[y] = e
+                if marked[y]:
+                    return self.tree_path(tree, src, y), None
+                queue.append(y)
+        return None, queue
 
     def bounded_bfs(self, src, target, limit, scanned=None):
         """Forward breadth-first search from src that scans at most limit

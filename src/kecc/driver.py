@@ -9,11 +9,12 @@ import math
 
 from .digraph import GraphError
 from .decompose import decompose_kecc
-from .flow import flow_state, lambda_bounded
+from .flow import CertifiedSink, flow_state, lambda_bounded
 from .local_search import EMPTY, MSetResult, amplified_mset, local_search_mset
 from .partitions import (Partition, good_partition_deficient,
                          good_partition_full, good_partition_low,
                          partition_from_msets, refine, refine_many)
+from .validation import check_k
 
 MODES = ("det", "rand", "exact")
 
@@ -33,14 +34,20 @@ def sample_count(n_ord, delta, mode):
 
 
 def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng,
-                      lam_cache):
+                      lam_cache, sink):
     """Small-pass search for the minimal (k+1)-out set of one vertex.
 
-    All modes first classify lambda(v, s) with cap k+2; when it is at least
-    k+2 no (k+1)-out separator exists and Empty is certain, so the search is
-    skipped.  Exact mode reads the answer off the residual instead of
+    sink holds s and the vertices of this pass already found at
+    lambda(u, s) >= k+2.  By the lemma in the flow module, a capped flow
+    into them gives min(lambda(v, s), k+2) exactly: when it reaches k+2, no
+    (k+1)-out separator exists, Empty is certain, and v joins the sink.
+    Otherwise all modes classify lambda(v, s) again with a capped flow to s
+    alone.  Exact mode reads the answer off that flow's residual instead of
     searching: at lambda exactly k+1 the residual reach of v is the set.
     """
+    if sink.flow(v)[0] == k + 2:
+        lam_cache[v] = k + 2
+        return EMPTY
     if mode == "exact":
         fs = flow_state(h, v, s, cap=k + 2)
         lam_cache[v] = fs.value
@@ -67,11 +74,12 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
     fail_prob = delta / (4 * n_ord)  # per-vertex budget for amplification
     lam_cache = {}
     results = {}
+    sink = CertifiedSink(h, s, k + 2)
     for v in ordinary:
         if v == s:
             continue
         results[v] = _small_set_result(h, v, s, k, mode, search_delta,
-                                       fail_prob, rng, lam_cache)
+                                       fail_prob, rng, lam_cache, sink)
     parts = [partition_from_msets(results, universe, ordinary)]
     if mode != "exact" and m > 0:
         draws = sample_count(n_ord, delta, mode)
@@ -120,6 +128,7 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
     degree k+1 would put every vertex at connectivity k+1 to it and send
     each one through the amplified small-set search.
     """
+    check_k(k)
     _check_mode(mode, rng)
     if not 0 < delta < 1:
         raise GraphError("delta must be in (0, 1)")

@@ -9,6 +9,13 @@ a search that grows from the source and from the sink at once and stops
 where the two meet, so a path near both ends costs the edges around it, not
 a sweep of the graph.  The sides and the min-cut DAG read off a maximum flow
 do not depend on which maximum flow the searches found.
+
+A pass that asks min(lambda(v, s), c) for many v in turn can stop each flow
+at the vertices already certified: if lambda(u, s) >= c for every u in a
+set C, then min(lambda(v, s), c) = min(lambda(v, C | {s}), c), and below c
+the minimal min-cut sides of (v, s) and (v, C | {s}) are the same set,
+because a v-s cut X of value < c avoids C (any u in X would give
+d+(X) >= lambda(u, s) >= c).  CertifiedSink runs these flows.
 """
 
 from __future__ import annotations
@@ -81,6 +88,55 @@ def lambda_bounded(g, u, v, cap):
     if cap < 1:
         raise GraphError("cap must be >= 1")
     return flow_state(g, u, v, cap).value
+
+
+class CertifiedSink:
+    """Capped flows from single vertices into s and the vertices certified
+    so far to have lambda(u, s) >= cap (the lemma in the module docstring).
+
+    A vertex whose flow reaches the cap is certified, so the flows of later
+    vertices stop at the first certified vertex they reach instead of going
+    on to s; on a graph where most vertices are well connected to s, a flow
+    costs the edges around its source.  One overlay serves every flow and
+    is rewound after each.
+    """
+
+    __slots__ = ("overlay", "marked", "cap")
+
+    def __init__(self, g, s, cap):
+        if not g.is_live(s):
+            raise GraphError("sink must be live")
+        if cap < 1:
+            raise GraphError("cap must be >= 1")
+        self.overlay = ReversalOverlay(g)
+        self.marked = bytearray(g.n_slots())
+        self.marked[s] = 1
+        self.cap = cap
+
+    def certify(self, u):
+        """Add u, known to have lambda(u, s) >= cap, to the sinks."""
+        self.marked[u] = 1
+
+    def flow(self, v):
+        """(min(lambda(v, s), cap), side): side lists v's minimal min-cut
+        side when the value is below the cap, and is None (and v certified)
+        when it reaches the cap."""
+        ov = self.overlay
+        if not ov.g.is_live(v) or self.marked[v]:
+            raise GraphError(f"vertex {v} is not a live uncertified vertex")
+        start = ov.mark()
+        value = 0
+        side = None
+        while value < self.cap:
+            path, side = ov.path_into(v, self.marked)
+            if path is None:
+                break
+            ov.reverse_trusted(path)
+            value += 1
+        ov.rewind(start)
+        if side is None:
+            self.marked[v] = 1
+        return value, side
 
 
 def minimal_mincut_side(g, v, s):

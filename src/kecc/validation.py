@@ -1,4 +1,4 @@
-"""Input validation helpers for the estimator layer."""
+"""Input validation helpers for the estimator layer and the drivers."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from .digraph import Digraph, GraphError, from_arcs
 
 def check_k(k):
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+        raise GraphError(f"k must be a positive integer, got {k!r}")
     return k
 
 

@@ -11,7 +11,7 @@ from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
                             verify_decomposition)
 from kecc.digraph import (AUX_KOUT, GraphError, from_arcs, materialize, out_of,
                           vol_of)
-from kecc.flow import lambda_bounded, minimal_mincut_side
+from kecc.flow import CertifiedSink, lambda_bounded, minimal_mincut_side
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
 from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import enumerate_separators, mutually_connected
@@ -118,15 +118,24 @@ def test_proper_order_matches_whole_graph_flows(case):
 
 
 def recorded_flow_graphs(monkeypatch):
-    """The list that receives the graph of each lambda_bounded call that
-    proper_order makes from now on."""
+    """The list that receives the graph of each flow that proper_order makes
+    from now on: certified flows on the whole graph and lambda_bounded calls
+    on side graphs."""
     graphs = []
 
     def recorded(h, u, v, cap):
         graphs.append(h)
         return lambda_bounded(h, u, v, cap)
 
+    class Recorded(CertifiedSink):
+        __slots__ = ()
+
+        def flow(self, v):
+            graphs.append(self.overlay.g)
+            return super().flow(v)
+
     monkeypatch.setattr(dc, "lambda_bounded", recorded)
+    monkeypatch.setattr(dc, "CertifiedSink", Recorded)
     return graphs
 
 

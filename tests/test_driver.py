@@ -190,6 +190,23 @@ def test_bad_mode_and_delta():
         compute_partition_single(g, 1, 0.2, "rand")  # rng missing
 
 
+def test_k_below_one_is_rejected():
+    # every driver names the bad k, whether or not the graph is strongly
+    # connected; a bool is not a k either
+    strong, weak = gen_kn(4), Digraph()
+    weak.add_vertices(2)
+    weak.add_edge(0, 1)
+    for g in (strong, weak):
+        for k in (0, -1, True):
+            for call in (
+                    lambda: compute_k2ecc(g, k, 0.2, "exact"),
+                    lambda: compute_partition_single(g, k, 0.2, "exact"),
+                    lambda: decompose_kecc(g, k, 0.2, "det")):
+                with pytest.raises(GraphError,
+                                   match=rf"k must be .*, got {k!r}$"):
+                    call()
+
+
 def test_det_mode_without_rng_is_rejected(monkeypatch):
     # det mode's sampling pass draws edges too, so it needs an rng; the
     # pipeline says so before it decomposes anything

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kecc.digraph import Digraph, GraphError, ReversalOverlay, contract, out_of
-from kecc.flow import (flow_state, lambda_bounded, latest_mincut,
-                       minimal_mincut_side, pq_graph)
+from kecc.flow import (CertifiedSink, flow_state, lambda_bounded,
+                       latest_mincut, minimal_mincut_side, pq_graph)
 from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
 from kecc.oracle import (enumerate_separators, lambda_oracle, latest_oracle,
                          mset_oracle)
@@ -232,6 +232,48 @@ def test_flow_argument_validation():
         lambda_bounded(g, 1, 1, 3)
     with pytest.raises(GraphError):
         lambda_bounded(g, 0, 1, 0)
+
+
+def test_certified_sink_argument_validation():
+    g = gen_cyc(3, 1)
+    with pytest.raises(GraphError, match="sink must be live"):
+        CertifiedSink(g, 7, 2)
+    with pytest.raises(GraphError, match="cap"):
+        CertifiedSink(g, 0, 0)
+    sink = CertifiedSink(g, 0, 1)
+    assert sink.flow(1) == (1, None)
+    for v in (0, 1, 7):  # the sink, a certified vertex, a dead id
+        with pytest.raises(GraphError, match="uncertified"):
+            sink.flow(v)
+
+
+@st.composite
+def certified_passes(draw):
+    """A random strongly connected multigraph (often not c-connected), a
+    root, a cap c and the other vertices in a random order."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    g = random_strongly_connected(rng, draw(st.integers(2, 9)),
+                                  draw(st.integers(0, 24)))
+    s = draw(st.sampled_from(g.vertices()))
+    order = draw(st.permutations([v for v in g.vertices() if v != s]))
+    return g, s, draw(st.integers(1, 4)), order
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(certified_passes())
+def test_certified_flows_match_flows_to_the_root(case):
+    # flows into the root and the vertices certified before them give
+    # min(lambda(v, s), c) and, below c, v's minimal min-cut side
+    g, s, cap, order = case
+    sink = CertifiedSink(g, s, cap)
+    for v in order:
+        value, side = sink.flow(v)
+        assert value == lambda_bounded(g, v, s, cap)
+        if value < cap:
+            assert frozenset(side) == minimal_mincut_side(g, v, s)
+            assert len(side) == len(set(side))
+        else:
+            assert side is None
 
 
 def test_flow_reads_a_fraction_of_the_graph(monkeypatch):

@@ -103,6 +103,32 @@ def test_cli_mset_rejects_bad_vertex(tmp_path, capsys):
         assert f"{flag} vertex {bad} is not live" in capsys.readouterr().err
 
 
+def test_cli_lambda_rejects_bad_vertex(tmp_path, capsys):
+    # --from and --to are 1-based: 0 and ids past n are input errors
+    path = tmp_path / "b.gr"
+    main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",
+          str(path)])
+    for flag, other, bad in (("--from", "--to", "0"), ("--to", "--from", "0"),
+                             ("--from", "--to", "99")):
+        assert main(["lambda", str(path), flag, bad, other, "2",
+                     "--cap", "3"]) == 1
+        assert f"{flag} vertex {bad} is not live" in capsys.readouterr().err
+
+
+def test_cli_rejects_k_below_one(tmp_path, capsys):
+    # on a strongly connected graph and on one that is not
+    strong = tmp_path / "strong.gr"
+    main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",
+          str(strong)])
+    weak = tmp_path / "weak.gr"
+    weak.write_text("p kec 2 1\na 1 2\n")
+    for path in (strong, weak):
+        for command in ("components", "decompose"):
+            assert main([command, str(path), "--k", "0"]) == 1
+            assert "k must be a positive integer, got 0" in \
+                capsys.readouterr().err
+
+
 def test_cli_components_verify_oracle(tmp_path, capsys):
     graph = tmp_path / "g.gr"
     got = tmp_path / "got.json"
