@@ -177,20 +177,24 @@ def _pull(orig, vmap, h):
     return pulled
 
 
-def _phase(g, orig, s, k, m0, mode, reps, rng):
+def _phase(g, orig, s, k, m0, mode, reps, rng, materialized=False):
     """One phase: process classes in proper order on an evolving copy of g,
     whose vertices have original ids orig.
 
     Returns [(graph, orig, start)]: the side graph of each class, started at
     its contracted complement, then the materialized remainder, started at s.
+    When g is materialize's own output and no class is found, the remainder
+    is g itself, since materializing it again would build the same arrays.
     Raises DecompositionError when a found set's ordinary vertices are not
     exactly its class.
     """
-    order = proper_order(g, s, k)
+    classes = proper_order(g, s, k).non_bottom()
+    if materialized and not classes:
+        return [(g, list(orig), s)]
     gev = g.copy()
     gev.enable_lazy()
     out = []
-    for members, _cut in order.non_bottom():
+    for members, _cut in classes:
         found = _find_min_out_set(gev, members, s, k, m0, mode, reps, rng)
         if {u for u in found if gev.kind[u] == ORDINARY} != set(members):
             raise DecompositionError(
@@ -229,7 +233,8 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
     reps = max(1, math.ceil(math.log2(2 * len(live) / delta)))
 
     base, base_map = materialize(g)
-    phase1 = _phase(base, live, base_map[s], k, m0, mode, reps, rng)
+    phase1 = _phase(base, live, base_map[s], k, m0, mode, reps, rng,
+                    materialized=True)
     pieces = []
     for idx, (h, orig, start) in enumerate(phase1):
         phase2 = _phase(h.reversed(), orig, start, k, max(1, h.m_live), mode,

@@ -5,12 +5,21 @@ entering edges per vertex, so single edges can be unlinked and whole rings can
 be merged in constant time.  Contraction comes in two flavours: an eager
 rebuild that returns a fresh graph, and a lazy in-place form backed by a
 disjoint-set structure where edge endpoints are resolved through find().
+
+Whole-graph copies (reversed, materialize, contract,
+contract_complement_reduced, from_arcs) each build two edge lists and hand
+them to one bulk builder, _build.  Its result is identical to the graph that
+sequential add_vertex and add_edge calls would build: the same edge ids, the
+same ring order, the same arrays and counters, and add_edge's error for bad
+input.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
+from operator import eq
 
 ORDINARY = 0
 AUX_KOUT = 1
@@ -312,17 +321,15 @@ class Digraph:
         if self.dsu is not None:
             raise GraphError("reverse a materialized graph, not a lazy one")
         swap = {AUX_KOUT: AUX_KIN, AUX_KIN: AUX_KOUT}
-        g = Digraph()
-        for v in range(len(self.kind)):
-            g.add_vertex(swap.get(self.kind[v], self.kind[v]))
-            g.v_alive[v] = self.v_alive[v]
-            if not self.v_alive[v]:
-                g.n_live -= 1
-        for v in range(len(self.kind)):
-            if self.v_alive[v]:
-                for e in self.out_edges(v):
-                    g.add_edge(self.e_head[e], v)
-        return g
+        e_head = self.e_head
+        tails = []
+        heads = []
+        for v in self.vertices():
+            ring = [e_head[e] for e in self.out_edges(v)]
+            tails += ring
+            heads += [v] * len(ring)
+        return _build([swap.get(x, x) for x in self.kind], self.v_alive[:],
+                      tails, heads)
 
     def enable_lazy(self):
         if self.dsu is None:
@@ -361,30 +368,6 @@ class Digraph:
                 self.n_live -= 1
         self.kind[rep] = kind
         return rep
-
-    def check(self):
-        """Assert ring/counter consistency; used by tests after mutations."""
-        n_seen = sum(1 for v in range(len(self.kind)) if self.v_alive[v])
-        assert n_seen == self.n_live, "vertex counter drift"
-        m_out = 0
-        m_in = 0
-        for v in range(len(self.kind)):
-            deg = 0
-            for e in self.out_edges(v):
-                assert self.e_alive[e], "dead edge in out-ring"
-                assert self.resolve(self.e_tail[e]) == self.resolve(v)
-                deg += 1
-            assert deg == self.out_deg[v], f"out_deg drift at {v}"
-            m_out += deg
-            deg = 0
-            for e in self.in_edges(v):
-                assert self.e_alive[e], "dead edge in in-ring"
-                assert self.resolve(self.e_head[e]) == self.resolve(v)
-                deg += 1
-            assert deg == self.in_deg[v], f"in_deg drift at {v}"
-            m_in += deg
-        m_alive = sum(1 for e in range(len(self.e_tail)) if self.e_alive[e])
-        assert m_out == m_in == m_alive == self.m_live, "edge counter drift"
 
     # -- adjacency snapshot for hot traversals -----------------------------
 
@@ -679,14 +662,81 @@ class ReversalOverlay:
         return path
 
 
+def _build(kinds, alive, tails, heads):
+    """Plain graph with the given vertex kinds and liveness and an edge
+    tails[i] -> heads[i] of id i for every i, identical to the one that
+    add_vertex per vertex, a v_alive reset per dead vertex and add_edge per
+    edge in id order would build.
+
+    add_edge's checks run over the whole lists at once; when one fails, the
+    build is replayed edge by edge so that add_edge raises its own error for
+    the first bad edge.
+    """
+    n = len(kinds)
+    if tails and not (
+            min(tails) >= 0 and min(heads) >= 0
+            and max(tails) < n and max(heads) < n
+            and (all(alive) or all(map(alive.__getitem__, tails))
+                 and all(map(alive.__getitem__, heads)))
+            and not any(map(eq, tails, heads))
+            and len(tails) <= MAX_EDGES):
+        g = Digraph()
+        for v, kind in enumerate(kinds):
+            g.add_vertex(kind)
+            g.v_alive[v] = alive[v]
+        for t, h in zip(tails, heads):
+            g.add_edge(t, h)
+    g = Digraph()
+    g.kind = kinds
+    g.v_alive = alive
+    g.e_tail = tails
+    g.e_head = heads
+    g.e_alive = [True] * len(tails)
+    g.first_out, g.nxt_out, g.prv_out, g.out_deg = _rings(n, tails)
+    g.first_in, g.nxt_in, g.prv_in, g.in_deg = _rings(n, heads)
+    g.n_live = sum(alive)
+    g.m_live = len(tails)
+    return g
+
+
+def _rings(n, owners):
+    """(first, nxt, prv, deg) of the rings that appending edges 0, 1, ...
+    to the rings of their owners one at a time would build."""
+    first = [-1] * n
+    last = [-1] * n
+    nxt = [-1] * len(owners)
+    prv = nxt[:]
+    for e, v in enumerate(owners):
+        p = last[v]
+        if p < 0:
+            first[v] = e
+        else:
+            nxt[p] = e
+            prv[e] = p
+        last[v] = e
+    for f, p in zip(first, last):
+        if f >= 0:
+            nxt[p] = f
+            prv[f] = p
+    count = Counter(owners)
+    return first, nxt, prv, [count[v] for v in range(n)]
+
+
 def from_arcs(n, arcs, ordinary=None):
     """Graph on vertices 0..n-1 with an edge of multiplicity mult for every
     (u, v, mult) arc; when ordinary is given, only those vertices are
     ordinary."""
-    g = Digraph()
-    g.add_vertices(n)
+    kinds = [ORDINARY] * n
+    alive = [True] * n
+    tails = []
+    heads = []
     for u, v, mult in arcs:
-        g.add_edge(u, v, copies=mult)
+        if mult < 1 or len(tails) + mult > MAX_EDGES:
+            # raises add_edge's error for this arc, or for an earlier one
+            _build(kinds, alive, tails, heads).add_edge(u, v, copies=mult)
+        tails += [u] * mult
+        heads += [v] * mult
+    g = _build(kinds, alive, tails, heads)
     if ordinary is not None:
         g.set_ordinary(ordinary)
     return g
@@ -734,24 +784,19 @@ def contract(g, members, kind=None):
         raise GraphError("cannot contract the whole vertex set")
     if kind is None:
         kind = AUX_KOUT if out_of(g, memb) >= 1 else AUX_OTHER
-    h = Digraph()
-    for v in range(len(g.kind)):
-        h.add_vertex(g.kind[v])
-        if not g.v_alive[v] or v in memb:
-            h.v_alive[v] = False
-            h.n_live -= 1
-    v_s = h.add_vertex(kind)
-    for v in range(len(g.kind)):
-        if not g.v_alive[v]:
-            continue
+    v_s = len(g.kind)
+    alive = [a and v not in memb for v, a in enumerate(g.v_alive)]
+    tails = []
+    heads = []
+    for v in live:
         for e in g.out_edges(v):
             t, hd = g.ends(e)
             t2 = v_s if t in memb else t
             h2 = v_s if hd in memb else hd
-            if t2 == h2:
-                continue
-            h.add_edge(t2, h2)
-    return h, v_s
+            if t2 != h2:
+                tails.append(t2)
+                heads.append(h2)
+    return _build(g.kind + [kind], alive + [True], tails, heads), v_s
 
 
 @dataclass
@@ -775,17 +820,15 @@ def contract_complement_reduced(g, members, k):
     if out != k:
         raise GraphError(f"expected a {k}-out set, found out={out}")
     order = sorted(memb)
-    h = Digraph()
-    vmap = {}
+    vmap = {u: i for i, u in enumerate(order)}
+    vbar = len(order)
+    tails = []
+    heads = []
     for u in order:
-        vmap[u] = h.add_vertex(g.kind[u])
-    vbar = h.add_vertex(AUX_KIN)
-    touches = 0
-    for u in order:
-        for e in g.out_edges(u):
-            touches += 1
-            hd = g.head(e)
-            h.add_edge(vmap[u], vmap.get(hd, vbar))
+        ring = [vmap.get(g.head(e), vbar) for e in g.out_edges(u)]
+        tails += [vmap[u]] * len(ring)
+        heads += ring
+    touches = len(tails)
     for u in order:
         rho = 0
         for e in g.in_edges(u):
@@ -794,8 +837,10 @@ def contract_complement_reduced(g, members, k):
                 rho += 1
                 if rho == k:
                     break
-        if rho:
-            h.add_edge(vbar, vmap[u], copies=min(k, rho))
+        tails += [vbar] * rho
+        heads += [vmap[u]] * rho
+    kinds = [g.kind[u] for u in order] + [AUX_KIN]
+    h = _build(kinds, [True] * len(kinds), tails, heads)
     return ReducedComplement(h, vmap, vbar, touches)
 
 
@@ -804,12 +849,13 @@ def materialize(g):
 
     Returns (graph, mapping) where mapping sends live ids of g to new ids.
     """
-    h = Digraph()
-    vmap = {}
-    for v in sorted(g.vertices()):
-        vmap[v] = h.add_vertex(g.kind[v])
-    for v in sorted(g.vertices()):
-        for e in g.out_edges(v):
-            h.add_edge(vmap[v], vmap[g.head(e)])
-    return h, vmap
-
+    verts = g.vertices()
+    vmap = {v: i for i, v in enumerate(verts)}
+    tails = []
+    heads = []
+    for v in verts:
+        ring = [vmap[g.head(e)] for e in g.out_edges(v)]
+        tails += [vmap[v]] * len(ring)
+        heads += ring
+    return _build([g.kind[v] for v in verts], [True] * len(verts), tails,
+                  heads), vmap

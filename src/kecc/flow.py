@@ -163,53 +163,9 @@ class PQGraph:
         self.source = source
         self.sink = sink
         self.scc_id, self.n_scc = _tarjan(universe, succ)
-        dag = {i: set() for i in range(self.n_scc)}
-        for x in universe:
-            cx = self.scc_id[x]
-            for y in succ[x]:
-                cy = self.scc_id[y]
-                if cx != cy:
-                    dag[cx].add(cy)
-        self.dag_succ = dag
 
     def partition(self):
         return Partition.from_key(self.universe, self.scc_id.__getitem__)
-
-    def closed_sets(self, guard=20):
-        """All reachability-closed vertex sets containing the source and
-        excluding the sink; exponential, guarded to small component counts."""
-        if self.n_scc > guard:
-            raise GraphError(f"closed-set enumeration guarded to {guard} components")
-        comp_members = {}
-        for x in self.universe:
-            comp_members.setdefault(self.scc_id[x], []).append(x)
-        succ_mask = [0] * self.n_scc
-        for c, targets in self.dag_succ.items():
-            m = 0
-            for t in targets:
-                m |= 1 << t
-            succ_mask[c] = m
-        want = self.scc_id[self.source]
-        avoid = self.scc_id[self.sink]
-        out = []
-        for mask in range(1 << self.n_scc):
-            if not (mask >> want) & 1 or (mask >> avoid) & 1:
-                continue
-            ok = True
-            probe = mask
-            while probe:
-                c = (probe & -probe).bit_length() - 1
-                if succ_mask[c] & ~mask:
-                    ok = False
-                    break
-                probe &= probe - 1
-            if ok:
-                members = []
-                for c in range(self.n_scc):
-                    if (mask >> c) & 1:
-                        members.extend(comp_members[c])
-                out.append(frozenset(members))
-        return out
 
 
 def _tarjan(universe, succ):

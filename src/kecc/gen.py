@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .digraph import Digraph, GraphError
+from .digraph import GraphError, from_arcs
 
 
 def sub_rng(seed, label):
@@ -16,24 +16,18 @@ def gen_cyc(n, k):
     """Directed cycle on n vertices, every arc with multiplicity k."""
     if n < 2 or k < 1:
         raise GraphError("cyc needs n >= 2, k >= 1")
-    g = Digraph()
-    g.add_vertices(n)
-    for v in range(n):
-        g.add_edge(v, (v + 1) % n, copies=k)
-    return g
+    return from_arcs(n, [(v, (v + 1) % n, k) for v in range(n)])
+
+
+def _complete(vertices):
+    return [(u, v, 1) for u in vertices for v in vertices if u != v]
 
 
 def gen_kn(n):
     """Complete digraph: one arc per ordered pair."""
     if n < 2:
         raise GraphError("kn needs n >= 2")
-    g = Digraph()
-    g.add_vertices(n)
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                g.add_edge(u, v)
-    return g
+    return from_arcs(n, _complete(range(n)))
 
 
 def gen_blocks(p, q, k):
@@ -41,19 +35,8 @@ def gen_blocks(p, q, k):
     by k parallel arcs a0 -> b0 and k parallel arcs b0 -> a0."""
     if p < 2 or q < 2 or k < 1:
         raise GraphError("blocks needs p, q >= 2 and k >= 1")
-    g = Digraph()
-    g.add_vertices(p + q)
-    for u in range(p):
-        for v in range(p):
-            if u != v:
-                g.add_edge(u, v)
-    for u in range(p, p + q):
-        for v in range(p, p + q):
-            if u != v:
-                g.add_edge(u, v)
-    g.add_edge(0, p, copies=k)
-    g.add_edge(p, 0, copies=k)
-    return g
+    arcs = _complete(range(p)) + _complete(range(p, p + q))
+    return from_arcs(p + q, arcs + [(0, p, k), (p, 0, k)])
 
 
 def gen_chain(blocks, size, k):
@@ -61,19 +44,13 @@ def gen_chain(blocks, size, k):
     in each direction between their first vertices."""
     if blocks < 2 or size < 2 or k < 1:
         raise GraphError("chain needs blocks >= 2, size >= 2, k >= 1")
-    g = Digraph()
-    g.add_vertices(blocks * size)
+    arcs = []
     for b in range(blocks):
-        base = b * size
-        for u in range(size):
-            for v in range(size):
-                if u != v:
-                    g.add_edge(base + u, base + v)
+        arcs += _complete(range(b * size, (b + 1) * size))
     for b in range(blocks):
         nxt = ((b + 1) % blocks) * size
-        g.add_edge(b * size, nxt, copies=k)
-        g.add_edge(nxt, b * size, copies=k)
-    return g
+        arcs += [(b * size, nxt, k), (nxt, b * size, k)]
+    return from_arcs(blocks * size, arcs)
 
 
 def gen_random_kec(n, k, extra, seed):
@@ -83,21 +60,19 @@ def gen_random_kec(n, k, extra, seed):
     if n < 2 or k < 1 or extra < 0:
         raise GraphError("random-kec needs n >= 2, k >= 1, extra >= 0")
     rng = sub_rng(seed, "random-kec")
-    g = Digraph()
-    g.add_vertices(n)
+    arcs = []
     for _ in range(k):
         perm = list(range(n))
         rng.shuffle(perm)
-        for i in range(n):
-            g.add_edge(perm[i], perm[(i + 1) % n])
+        arcs += [(perm[i], perm[(i + 1) % n], 1) for i in range(n)]
     added = 0
     while added < extra:
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u != v:
-            g.add_edge(u, v)
+            arcs.append((u, v, 1))
             added += 1
-    return g
+    return from_arcs(n, arcs)
 
 
 MODELS = ("cyc", "kn", "blocks", "chain", "random-kec")

@@ -118,6 +118,88 @@ def induced(g, members):
     return h, vmap
 
 
+def check(g):
+    """Assert ring/counter consistency of a graph."""
+    n_seen = sum(1 for v in range(len(g.kind)) if g.v_alive[v])
+    assert n_seen == g.n_live, "vertex counter drift"
+    m_out = 0
+    m_in = 0
+    for v in range(len(g.kind)):
+        deg = 0
+        for e in g.out_edges(v):
+            assert g.e_alive[e], "dead edge in out-ring"
+            assert g.resolve(g.e_tail[e]) == g.resolve(v)
+            deg += 1
+            assert deg <= len(g.e_tail), f"out-ring of {v} does not close"
+        assert deg == g.out_deg[v], f"out_deg drift at {v}"
+        m_out += deg
+        deg = 0
+        for e in g.in_edges(v):
+            assert g.e_alive[e], "dead edge in in-ring"
+            assert g.resolve(g.e_head[e]) == g.resolve(v)
+            deg += 1
+            assert deg <= len(g.e_tail), f"in-ring of {v} does not close"
+        assert deg == g.in_deg[v], f"in_deg drift at {v}"
+        m_in += deg
+    m_alive = sum(1 for e in range(len(g.e_tail)) if g.e_alive[e])
+    assert m_out == m_in == m_alive == g.m_live, "edge counter drift"
+
+
+def pq_dag(pq):
+    """Successor sets of the condensation of a PQGraph, by component id."""
+    dag = {c: set() for c in range(pq.n_scc)}
+    for x in pq.universe:
+        cx = pq.scc_id[x]
+        for y in pq.succ[x]:
+            cy = pq.scc_id[y]
+            if cx != cy:
+                dag[cx].add(cy)
+    return dag
+
+
+def closed_sets(pq, guard=20):
+    """All reachability-closed vertex sets of a PQGraph containing the flow
+    source and excluding the sink: the minimum cuts.  Exponential, guarded
+    to small component counts."""
+    if pq.n_scc > guard:
+        raise GraphError(f"closed-set enumeration guarded to {guard} components")
+    comp_members = {}
+    for x in pq.universe:
+        comp_members.setdefault(pq.scc_id[x], []).append(x)
+    succ_mask = [0] * pq.n_scc
+    for c, targets in pq_dag(pq).items():
+        for t in targets:
+            succ_mask[c] |= 1 << t
+    want = pq.scc_id[pq.source]
+    avoid = pq.scc_id[pq.sink]
+    out = []
+    for mask in range(1 << pq.n_scc):
+        if not (mask >> want) & 1 or (mask >> avoid) & 1:
+            continue
+        ok = True
+        probe = mask
+        while probe:
+            c = (probe & -probe).bit_length() - 1
+            if succ_mask[c] & ~mask:
+                ok = False
+                break
+            probe &= probe - 1
+        if ok:
+            members = []
+            for c in range(pq.n_scc):
+                if (mask >> c) & 1:
+                    members.extend(comp_members[c])
+            out.append(frozenset(members))
+    return out
+
+
+def arrays(g):
+    """Every array and counter of a graph, for exact comparison."""
+    return (g.kind, g.v_alive, g.e_tail, g.e_head, g.e_alive, g.first_out,
+            g.first_in, g.nxt_out, g.prv_out, g.nxt_in, g.prv_in, g.out_deg,
+            g.in_deg, g.n_live, g.m_live, g.dsu)
+
+
 def fingerprint(g):
     """Structural hash of the full graph state, rings included."""
     return hash((

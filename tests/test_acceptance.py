@@ -23,7 +23,8 @@ from kecc.local_search import randomized_local_search_mset
 from kecc.oracle import (BOTTOM, ecc_components, enumerate_separators,
                          lambda_oracle, mset_oracle)
 
-from conftest import random_strongly_connected, random_walk, recording_budget
+from conftest import (closed_sets, random_strongly_connected, random_walk,
+                      recording_budget)
 
 
 @contextmanager
@@ -204,7 +205,7 @@ def test_c6_pq_characterization(rng):
                         continue
                     lam = lambda_oracle(g, v, s, g.m_live + 1)
                     closed = {frozenset(x)
-                              for x in pq_graph(g, v, s).closed_sets()}
+                              for x in closed_sets(pq_graph(g, v, s))}
                     assert closed == set(enumerate_separators(g, v, s, lam))
 
 

@@ -16,7 +16,7 @@ from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
 from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import enumerate_separators, mutually_connected
 
-from conftest import fingerprint, random_strongly_connected
+from conftest import arrays, fingerprint, random_strongly_connected
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
                     database=None)
@@ -173,6 +173,26 @@ def test_class_search_starts_at_volume_floor(monkeypatch):
     decompose_kecc(gen_chain(30, 6, 1), 2, 0.25, "rand", random.Random(0))
     assert {delta for delta, _found in runs} == {32}
     assert sum(found for _delta, found in runs) == 58
+
+
+def test_phase_one_without_classes_returns_its_input():
+    # phase 1 runs on materialize's output; with no class to contract, its
+    # remainder (that graph copied and materialized again) has the same
+    # arrays, so _phase returns the graph itself
+    for g, k in [(gen_kn(6), 3), (gen_random_kec(40, 3, 160, 2), 2)]:
+        base, _ = materialize(g)
+        live = g.vertices()
+        assert not proper_order(base, 0, k).non_bottom()
+        args = (base, live, 0, k, base.m_live, "det", 1, None)
+        (skipped,) = dc._phase(*args, materialized=True)
+        (built,) = dc._phase(*args)
+        assert skipped[0] is base and built[0] is not base
+        assert arrays(skipped[0]) == arrays(built[0])
+        assert skipped[1:] == built[1:] == (live, 0)
+        # phase 2 runs on reversed graphs, whose edge ids are not in tail
+        # order, so materializing them renumbers the edges
+        rev = base.reversed()
+        assert arrays(materialize(rev)[0]) != arrays(rev)
 
 
 def test_decompose_kn_single_piece():

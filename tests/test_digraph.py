@@ -1,18 +1,22 @@
 """Graph data model: rings, counters, overlays and contraction."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kecc.digraph as dg
-from kecc.digraph import (AUX_KIN, AUX_KOUT, Digraph, DisjointSets,
-                          GraphError, ReversalOverlay, contract,
-                          contract_complement_reduced, materialize, out_of,
-                          vol_of)
-from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
+from kecc.digraph import (AUX_KIN, AUX_KOUT, AUX_OTHER, ORDINARY, Digraph,
+                          DisjointSets, GraphError, ReversalOverlay, contract,
+                          contract_complement_reduced, from_arcs, materialize,
+                          out_of, vol_of)
+from kecc.gen import (gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec,
+                      sub_rng)
 from kecc.oracle import lambda_oracle
 
-from conftest import fingerprint, random_digraph, random_walk
+from conftest import arrays, check, fingerprint, random_digraph, random_walk
 
 
 def test_parallel_edges():
@@ -23,7 +27,7 @@ def test_parallel_edges():
     assert g.out_deg[0] == 3
     assert g.in_deg[1] == 3
     assert g.m_live == 3
-    g.check()
+    check(g)
 
 
 def test_add_edge_rejections():
@@ -52,7 +56,7 @@ def test_cyc_generator_shape():
     g = gen_cyc(4, 2)
     assert g.m_live == 8
     assert all(g.out_deg[v] == 2 for v in range(4))
-    g.check()
+    check(g)
 
 
 def test_delete_one_of_parallel():
@@ -63,7 +67,7 @@ def test_delete_one_of_parallel():
     assert g.out_deg[0] == 2
     with pytest.raises(GraphError):
         g.delete_edge(eids[1])
-    g.check()
+    check(g)
 
 
 def test_delete_all_edges():
@@ -71,7 +75,7 @@ def test_delete_all_edges():
     for e in list(g.edges()):
         g.delete_edge(e)
     assert g.m_live == 0
-    g.check()
+    check(g)
 
 
 def test_merge_rings_preserves_order():
@@ -169,8 +173,8 @@ def test_ring_census_random_ops(rng):
             e = live_edges.pop(rng.randrange(len(live_edges)))
             g.delete_edge(e)
         if step % 997 == 0:
-            g.check()
-    g.check()
+            check(g)
+    check(g)
 
 
 def test_contract_blocks_fixture():
@@ -181,7 +185,7 @@ def test_contract_blocks_fixture():
     assert h.in_deg[v_b] == 2
     heads = sorted(h.head(e) for e in h.out_edges(v_b))
     assert heads == [0, 0]  # two parallel edges to a0
-    h.check()
+    check(h)
 
 
 def test_contract_single_vertex():
@@ -243,7 +247,7 @@ def test_contract_complement_reduced_blocks():
     assert h.kind[red.vbar] == AUX_KIN
     assert h.in_deg[red.vbar] == 2
     assert red.touches <= 2 * vol_of(g, a_side) + 2 * len(a_side)
-    h.check()
+    check(h)
 
 
 def test_contract_complement_reduction_rule():
@@ -300,7 +304,7 @@ def test_lazy_contract_matches_eager(rng):
         lazy = g.copy()
         rep = min(members)
         lazy.contract_lazy(members, rep, kind=AUX_KOUT)
-        lazy.check()
+        check(lazy)
         mat, vmap = materialize(lazy)
         eager_mat, emap = materialize(eager)
         trans = {}
@@ -334,3 +338,221 @@ def test_dsu_chain():
     for v in range(1, 10):
         d.unite(0, v)
     assert all(d.find(v) == 0 for v in range(10))
+
+
+# -- bulk builds against sequential add_edge ---------------------------------
+#
+# The ref_* builders are the add_vertex/add_edge forms of the whole-graph
+# copies; every bulk build must match them array for array.
+
+def ref_reversed(g):
+    if g.dsu is not None:
+        raise GraphError("reverse a materialized graph, not a lazy one")
+    swap = {AUX_KOUT: AUX_KIN, AUX_KIN: AUX_KOUT}
+    h = Digraph()
+    for v in range(len(g.kind)):
+        h.add_vertex(swap.get(g.kind[v], g.kind[v]))
+        h.v_alive[v] = g.v_alive[v]
+        if not g.v_alive[v]:
+            h.n_live -= 1
+    for v in g.vertices():
+        for e in g.out_edges(v):
+            h.add_edge(g.e_head[e], v)
+    return h
+
+
+def ref_materialize(g):
+    h = Digraph()
+    vmap = {}
+    for v in g.vertices():
+        vmap[v] = h.add_vertex(g.kind[v])
+    for v in g.vertices():
+        for e in g.out_edges(v):
+            h.add_edge(vmap[v], vmap[g.head(e)])
+    return h, vmap
+
+
+def ref_contract(g, members, kind=None):
+    memb = set(members)
+    if not memb:
+        raise GraphError("cannot contract an empty set")
+    for u in memb:
+        if not g.is_live(u):
+            raise GraphError(f"vertex {u} is not live")
+    if len(memb) == g.n_live:
+        raise GraphError("cannot contract the whole vertex set")
+    if kind is None:
+        kind = AUX_KOUT if out_of(g, memb) >= 1 else AUX_OTHER
+    h = Digraph()
+    for v in range(len(g.kind)):
+        h.add_vertex(g.kind[v])
+        if not g.v_alive[v] or v in memb:
+            h.v_alive[v] = False
+            h.n_live -= 1
+    v_s = h.add_vertex(kind)
+    for v in g.vertices():
+        for e in g.out_edges(v):
+            t, hd = g.ends(e)
+            t2 = v_s if t in memb else t
+            h2 = v_s if hd in memb else hd
+            if t2 != h2:
+                h.add_edge(t2, h2)
+    return h, v_s
+
+
+def ref_complement_reduced(g, members, k):
+    memb = set(members)
+    out = out_of(g, memb)
+    if out != k:
+        raise GraphError(f"expected a {k}-out set, found out={out}")
+    h = Digraph()
+    vmap = {u: h.add_vertex(g.kind[u]) for u in sorted(memb)}
+    vbar = h.add_vertex(AUX_KIN)
+    touches = 0
+    for u in sorted(memb):
+        for e in g.out_edges(u):
+            touches += 1
+            h.add_edge(vmap[u], vmap.get(g.head(e), vbar))
+    for u in sorted(memb):
+        rho = 0
+        for e in g.in_edges(u):
+            touches += 1
+            if g.tail(e) not in memb:
+                rho += 1
+                if rho == k:
+                    break
+        if rho:
+            h.add_edge(vbar, vmap[u], copies=min(k, rho))
+    return h, vmap, vbar, touches
+
+
+def complement_reduced(g, members, k):
+    red = contract_complement_reduced(g, members, k)
+    return red.graph, red.vmap, red.vbar, red.touches
+
+
+def ref_from_arcs(n, arcs):
+    g = Digraph()
+    g.add_vertices(n)
+    for u, v, mult in arcs:
+        g.add_edge(u, v, copies=mult)
+    return g
+
+
+def outcome(fn, *args):
+    """fn's result with every graph in it replaced by its arrays (checked
+    for consistency first), or the type and message of its error."""
+    try:
+        out = fn(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    out = out if isinstance(out, tuple) else (out,)
+    for x in out:
+        if isinstance(x, Digraph):
+            check(x)
+    return tuple(arrays(x) if isinstance(x, Digraph) else x for x in out)
+
+
+@st.composite
+def built_graphs(draw):
+    """A multigraph with parallel edges, deleted edges, dead vertices and
+    lazily contracted vertex sets, plus a non-empty vertex set."""
+    n = draw(st.integers(2, 8))
+    kinds = [ORDINARY, AUX_KOUT, AUX_KIN, AUX_OTHER]
+    g = Digraph()
+    for _ in range(n):
+        g.add_vertex(draw(st.sampled_from(kinds)))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1),
+                                   st.integers(1, 3)).filter(
+        lambda a: a[0] != a[1]), max_size=25))
+    for u, v, mult in arcs:
+        g.add_edge(u, v, copies=mult)
+    if g.m_slots():
+        for e in draw(st.sets(st.integers(0, g.m_slots() - 1), max_size=8)):
+            g.delete_edge(e)
+    for v in draw(st.sets(st.integers(0, n - 1), max_size=n - 2)):
+        for e in list(g.out_edges(v)) + list(g.in_edges(v)):
+            if g.e_alive[e]:
+                g.delete_edge(e)
+        g.v_alive[v] = False
+        g.n_live -= 1
+    for _ in range(draw(st.integers(0, 2))):
+        live = g.vertices()
+        if len(live) < 3:
+            break
+        members = draw(st.lists(st.sampled_from(live), min_size=1,
+                                max_size=len(live) - 2, unique=True))
+        g.contract_lazy(members, members[0],
+                        kind=draw(st.sampled_from(kinds)))
+    members = draw(st.lists(st.sampled_from(g.vertices()), min_size=1,
+                            unique=True))
+    return g, members
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(built_graphs(), st.sampled_from([None, AUX_KOUT, AUX_OTHER]),
+       st.integers(0, 1))
+def test_bulk_builds_match_add_edge(case, kind, k_shift):
+    g, members = case
+    before = fingerprint(g)
+    assert outcome(g.reversed) == outcome(ref_reversed, g)
+    assert outcome(materialize, g) == outcome(ref_materialize, g)
+    assert (outcome(contract, g, members, kind)
+            == outcome(ref_contract, g, members, kind))
+    k = max(1, out_of(g, members)) + k_shift
+    assert (outcome(complement_reduced, g, members, k)
+            == outcome(ref_complement_reduced, g, members, k))
+    assert fingerprint(g) == before
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 6), st.lists(st.tuples(st.integers(-1, 6),
+                                              st.integers(-1, 6),
+                                              st.integers(-1, 3)),
+                                    max_size=12),
+       st.integers(0, 30))
+def test_from_arcs_matches_add_edge(n, arcs, limit):
+    # bad ids, self-loops, bad multiplicities and the edge limit must raise
+    # the error that the first failing add_edge call raises
+    with mock.patch.object(dg, "MAX_EDGES", limit):
+        assert outcome(from_arcs, n, arcs) == outcome(ref_from_arcs, n, arcs)
+
+
+def ref_gen_random_kec(n, k, extra, seed):
+    rng = sub_rng(seed, "random-kec")
+    g = Digraph()
+    g.add_vertices(n)
+    for _ in range(k):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for i in range(n):
+            g.add_edge(perm[i], perm[(i + 1) % n])
+    added = 0
+    while added < extra:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            g.add_edge(u, v)
+            added += 1
+    return g
+
+
+def test_generators_match_add_edge():
+    for seed in range(4):
+        assert (arrays(gen_random_kec(40, 2, 120, seed))
+                == arrays(ref_gen_random_kec(40, 2, 120, seed)))
+    blocks = [(u, v) for u in range(4) for v in range(4) if u != v]
+    chain = ref_from_arcs(12, [(b * 4 + u, b * 4 + v, 1)
+                               for b in range(3) for u, v in blocks]
+                          + [arc for b in range(3)
+                             for arc in ((b * 4, (b + 1) % 3 * 4, 2),
+                                         ((b + 1) % 3 * 4, b * 4, 2))])
+    assert arrays(gen_chain(3, 4, 2)) == arrays(chain)
+    assert arrays(gen_cyc(5, 3)) == arrays(ref_from_arcs(
+        5, [(v, (v + 1) % 5, 3) for v in range(5)]))
+    assert arrays(gen_kn(4)) == arrays(ref_from_arcs(
+        4, [(u, v, 1) for u, v in blocks]))
+    assert arrays(gen_blocks(3, 2, 2)) == arrays(ref_from_arcs(
+        5, [(u, v, 1) for u in range(3) for v in range(3) if u != v]
+        + [(3, 4, 1), (4, 3, 1), (0, 3, 2), (3, 0, 2)]))

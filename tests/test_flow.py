@@ -13,8 +13,8 @@ from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
 from kecc.oracle import (enumerate_separators, lambda_oracle, latest_oracle,
                          mset_oracle)
 
-from conftest import (induced, overlay_to_digraph, random_strongly_connected,
-                      random_walk)
+from conftest import (closed_sets, induced, overlay_to_digraph, pq_dag,
+                      random_strongly_connected, random_walk)
 
 
 def test_lambda_fixtures():
@@ -180,7 +180,7 @@ def test_pq_cycle_fixture():
     adjacency = {x: sorted(pq.succ[x]) for x in pq.universe}
     assert adjacency == {0: [1, 3], 1: [], 2: [1], 3: [2]}
     assert pq.n_scc == 4
-    closed = {frozenset(x) for x in pq.closed_sets()}
+    closed = {frozenset(x) for x in closed_sets(pq)}
     assert closed == {frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})}
 
 
@@ -195,7 +195,7 @@ def test_pq_saturated_edges_only_backward():
 def test_pq_kn_fixture():
     g = gen_kn(4)
     pq = pq_graph(g, 0, 3)
-    closed = {frozenset(x) for x in pq.closed_sets()}
+    closed = {frozenset(x) for x in closed_sets(pq)}
     brute = set(enumerate_separators(g, 0, 3, 3))
     assert closed == brute
 
@@ -206,12 +206,13 @@ def test_pq_condensation_endpoints(rng):
                                       rng.randrange(0, 8))
         v, s = rng.sample(range(g.n_live), 2)
         pq = pq_graph(g, v, s)
+        dag = pq_dag(pq)
         indeg = {c: 0 for c in range(pq.n_scc)}
-        for c, targets in pq.dag_succ.items():
+        for c, targets in dag.items():
             for t in targets:
                 indeg[t] += 1
         sources = [c for c, d in indeg.items() if d == 0]
-        sinks = [c for c, targets in pq.dag_succ.items() if not targets]
+        sinks = [c for c, targets in dag.items() if not targets]
         assert sources == [pq.scc_id[s]]
         assert sinks == [pq.scc_id[v]]
 
@@ -222,7 +223,7 @@ def test_pq_closed_sets_match_enumeration(rng):
                                       rng.randrange(0, 9))
         v, s = rng.sample(range(g.n_live), 2)
         lam = lambda_oracle(g, v, s, 10)
-        closed = {frozenset(x) for x in pq_graph(g, v, s).closed_sets()}
+        closed = {frozenset(x) for x in closed_sets(pq_graph(g, v, s))}
         assert closed == set(enumerate_separators(g, v, s, lam))
 
 
