@@ -7,7 +7,7 @@ cross-checkable against a built-in brute-force oracle.
 """
 
 from .digraph import (AUX_KIN, AUX_KOUT, AUX_OTHER, ORDINARY, Digraph,
-                      DisjointSets, GraphError, ReversalOverlay, contract,
+                      GraphError, ReversalOverlay, contract,
                       contract_complement_reduced, materialize, out_of, vol_of)
 from .flow import (FlowState, PQGraph, flow_state, lambda_bounded,
                    latest_mincut, minimal_mincut_side, pq_graph)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AUX_KIN", "AUX_KOUT", "AUX_OTHER", "ORDINARY", "Digraph",
-    "DisjointSets", "GraphError", "ReversalOverlay", "contract",
+    "GraphError", "ReversalOverlay", "contract",
     "contract_complement_reduced", "materialize", "out_of", "vol_of",
     "FlowState", "PQGraph", "flow_state", "lambda_bounded", "latest_mincut",
     "minimal_mincut_side", "pq_graph", "EMPTY", "MSetResult", "SearchBudget",

@@ -24,7 +24,7 @@ from .digraph import (AUX_KOUT, ORDINARY, Digraph, GraphError,
                       contract_complement_reduced, materialize, vol_of)
 from .flow import CertifiedSink, lambda_bounded, minimal_mincut_side
 from .local_search import local_search_mset, randomized_local_search_mset
-from .validation import check_k
+from .validation import check_delta, check_k, check_mode
 
 
 class DecompositionError(RuntimeError):
@@ -192,7 +192,6 @@ def _phase(g, orig, s, k, m0, mode, reps, rng, materialized=False):
     if materialized and not classes:
         return [(g, list(orig), s)]
     gev = g.copy()
-    gev.enable_lazy()
     out = []
     for members, _cut in classes:
         found = _find_min_out_set(gev, members, s, k, m0, mode, reps, rng)
@@ -218,12 +217,8 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
     the second on the reverse of each of its outputs.
     """
     check_k(k)
-    if mode not in ("det", "rand"):
-        raise GraphError(f"unknown mode {mode!r}")
-    if mode == "rand" and rng is None:
-        raise GraphError("rand mode needs an rng")
-    if not 0 < delta < 1:
-        raise GraphError("delta must be in (0, 1)")
+    check_mode(mode, rng, ("det", "rand"), drawing=("rand",))
+    check_delta(delta)
     live = g.vertices()
     if s is None:
         s = min(live)

@@ -3,8 +3,9 @@
 The graph keeps one circular doubly-linked ring of outgoing edges and one of
 entering edges per vertex, so single edges can be unlinked and whole rings can
 be merged in constant time.  Contraction comes in two flavours: an eager
-rebuild that returns a fresh graph, and a lazy in-place form backed by a
-disjoint-set structure where edge endpoints are resolved through find().
+rebuild that returns a fresh graph, and an in-place form that rewrites the
+endpoints of the merged vertices' edges to the representative and splices
+their rings into its rings, in time linear in the set's volume.
 
 Whole-graph copies (reversed, materialize, contract,
 contract_complement_reduced, from_arcs) each build two edge lists and hand
@@ -34,51 +35,6 @@ class GraphError(ValueError):
     pass
 
 
-class DisjointSets:
-    """Union-find where unite(u, v) makes u the representative of the class.
-
-    Internally uses union by rank with path compression; the caller-visible
-    representative is kept as a label on the tree root, so rank balancing does
-    not disturb the "u wins" rule.
-    """
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.label = list(range(n))
-
-    def grow(self, n):
-        start = len(self.parent)
-        for i in range(start, n):
-            self.parent.append(i)
-            self.rank.append(0)
-            self.label.append(i)
-
-    def _root(self, v):
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def find(self, v):
-        return self.label[self._root(v)]
-
-    def unite(self, u, v):
-        ru, rv = self._root(u), self._root(v)
-        if ru == rv:
-            self.label[ru] = u
-            return
-        if self.rank[ru] < self.rank[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[ru] += 1
-        self.label[ru] = u
-
-
 class Digraph:
     def __init__(self):
         self.kind = []
@@ -97,7 +53,8 @@ class Digraph:
         self.in_deg = []
         self.n_live = 0
         self.m_live = 0
-        self.dsu = None
+        # set once contract_lazy has run: traversals then skip the snapshot
+        self.contracted = False
         self._version = 0
         self._adj_cache = {}
 
@@ -112,8 +69,6 @@ class Digraph:
         self.out_deg.append(0)
         self.in_deg.append(0)
         self.n_live += 1
-        if self.dsu is not None:
-            self.dsu.grow(v + 1)
         self._version += 1
         return v
 
@@ -227,16 +182,11 @@ class Digraph:
     def is_live(self, v):
         return 0 <= v < len(self.kind) and self.v_alive[v]
 
-    def resolve(self, v):
-        return v if self.dsu is None else self.dsu.find(v)
-
     def tail(self, e):
-        t = self.e_tail[e]
-        return t if self.dsu is None else self.dsu.find(t)
+        return self.e_tail[e]
 
     def head(self, e):
-        h = self.e_head[e]
-        return h if self.dsu is None else self.dsu.find(h)
+        return self.e_head[e]
 
     def ends(self, e):
         return self.tail(e), self.head(e)
@@ -308,18 +258,14 @@ class Digraph:
         g.in_deg = self.in_deg[:]
         g.n_live = self.n_live
         g.m_live = self.m_live
-        if self.dsu is not None:
-            d = DisjointSets(0)
-            d.parent = self.dsu.parent[:]
-            d.rank = self.dsu.rank[:]
-            d.label = self.dsu.label[:]
-            g.dsu = d
+        g.contracted = self.contracted
+        # equal arrays: the snapshots stay valid until either graph changes
+        g._version = self._version
+        g._adj_cache = dict(self._adj_cache)
         return g
 
     def reversed(self):
         """A new graph with every edge flipped; k-out/k-in vertex kinds swap."""
-        if self.dsu is not None:
-            raise GraphError("reverse a materialized graph, not a lazy one")
         swap = {AUX_KOUT: AUX_KIN, AUX_KIN: AUX_KOUT}
         e_head = self.e_head
         tails = []
@@ -331,16 +277,12 @@ class Digraph:
         return _build([swap.get(x, x) for x in self.kind], self.v_alive[:],
                       tails, heads)
 
-    def enable_lazy(self):
-        if self.dsu is None:
-            self.dsu = DisjointSets(len(self.kind))
-        return self.dsu
-
     def contract_lazy(self, members, rep, kind=AUX_KOUT):
-        """Contract a vertex set in place: DSU indirection plus ring surgery.
+        """Contract a vertex set in place: endpoint rewrite plus ring surgery.
 
-        Runs in O(vol(members)) ring operations.  rep must belong to members;
-        it survives, relabelled with the given kind, and owns the merged rings.
+        Runs in O(vol(members)).  rep must belong to members; it survives,
+        relabelled with the given kind, and owns the merged rings, whose
+        edges name it as their tail or head.
         """
         memb = set(members)
         if rep not in memb:
@@ -348,7 +290,7 @@ class Digraph:
         for u in memb:
             if not self.is_live(u):
                 raise GraphError(f"vertex {u} is not live")
-        self.enable_lazy()
+        self.contracted = True
         self._version += 1
         internal = []
         for u in memb:
@@ -359,9 +301,10 @@ class Digraph:
             self.delete_edge(e)
         for u in memb:
             if u != rep:
-                self.dsu.unite(rep, u)
-        for u in memb:
-            if u != rep:
+                for e in self.out_edges(u):
+                    self.e_tail[e] = rep
+                for e in self.in_edges(u):
+                    self.e_head[e] = rep
                 self.merge_in_rings(u, rep)
                 self.merge_out_rings(u, rep)
                 self.v_alive[u] = False
@@ -376,11 +319,9 @@ class Digraph:
         with tails in place of heads when backward.
 
         Flat lists rather than (edge, head) tuples keep the snapshot as small
-        as offset arrays would.  Only available for plain graphs; each
-        direction is built on first use and cached until the next mutation.
+        as offset arrays would.  Each direction is built on first use and
+        cached until the next mutation.
         """
-        if self.dsu is not None:
-            raise GraphError("no flat snapshot for lazily contracted graphs")
         cached = self._adj_cache.get(backward)
         if cached is not None and cached[0] == self._version:
             return cached[1]
@@ -417,7 +358,8 @@ class ReversalOverlay:
         self.flip[e] = f
         d = 1 if f else -1
         dirty = self.dirty
-        # key by resolved endpoints: traversal asks about representatives
+        # count flipped edges per endpoint; succ and pred check the flips
+        # only at vertices with a nonzero count
         for v in (self.g.tail(e), self.g.head(e)):
             c = dirty.get(v, 0) + d
             if c:
@@ -489,12 +431,14 @@ class ReversalOverlay:
     # -- traversal ---------------------------------------------------------
     #
     # Vertices without a flipped edge are walked through the adjacency
-    # snapshot of a plain graph; the rest, and every vertex of a lazily
-    # contracted graph, through succ/pred.  Both visit edges in ring order.
+    # snapshot; the rest, and every vertex of a graph contracted in place,
+    # through succ/pred.  Both visit edges in ring order.  Such a graph is
+    # the evolving one of a decomposition phase, and a snapshot rebuilt
+    # after each of its contractions would cost O(m) per class.
 
     def _snapshot(self, backward=False):
         g = self.g
-        return None if g.dsu is not None else g.adjacency(backward)
+        return None if g.contracted else g.adjacency(backward)
 
     def bfs(self, src, backward=False):
         """Vertices reachable from src over successors, or predecessors when
@@ -805,7 +749,6 @@ class ReducedComplement:
     graph: Digraph
     vmap: dict
     vbar: int
-    touches: int
 
 
 def contract_complement_reduced(g, members, k):
@@ -828,11 +771,9 @@ def contract_complement_reduced(g, members, k):
         ring = [vmap.get(g.head(e), vbar) for e in g.out_edges(u)]
         tails += [vmap[u]] * len(ring)
         heads += ring
-    touches = len(tails)
     for u in order:
         rho = 0
         for e in g.in_edges(u):
-            touches += 1
             if g.tail(e) not in memb:
                 rho += 1
                 if rho == k:
@@ -841,7 +782,7 @@ def contract_complement_reduced(g, members, k):
         heads += [vmap[u]] * rho
     kinds = [g.kind[u] for u in order] + [AUX_KIN]
     h = _build(kinds, [True] * len(kinds), tails, heads)
-    return ReducedComplement(h, vmap, vbar, touches)
+    return ReducedComplement(h, vmap, vbar)
 
 
 def materialize(g):

@@ -14,16 +14,7 @@ from .local_search import EMPTY, MSetResult, amplified_mset, local_search_mset
 from .partitions import (Partition, good_partition_deficient,
                          good_partition_full, good_partition_low,
                          partition_from_msets, refine, refine_many)
-from .validation import check_k
-
-MODES = ("det", "rand", "exact")
-
-
-def _check_mode(mode, rng):
-    if mode not in MODES:
-        raise GraphError(f"unknown mode {mode!r}; choose from {MODES}")
-    if mode != "exact" and rng is None:
-        raise GraphError(f"{mode} mode needs an rng")
+from .validation import check_delta, check_k, check_mode
 
 
 def sample_count(n_ord, delta, mode):
@@ -129,9 +120,8 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
     each one through the amplified small-set search.
     """
     check_k(k)
-    _check_mode(mode, rng)
-    if not 0 < delta < 1:
-        raise GraphError("delta must be in (0, 1)")
+    check_mode(mode, rng)
+    check_delta(delta)
     ordinary = h.ordinary_vertices()
     if not ordinary:
         raise GraphError("graph has no ordinary vertex")
@@ -155,7 +145,8 @@ def compute_k2ecc(g, k, delta, mode="rand", rng=None, s=None, stats=None):
     decomposition (default: the smallest live id); each piece is rooted at
     its best-connected ordinary vertex, as in compute_partition_single.
     """
-    _check_mode(mode, rng)
+    check_mode(mode, rng)
+    check_delta(delta)
     decomp_mode = "rand" if mode == "rand" else "det"
     pieces = decompose_kecc(g, k, delta / 2, decomp_mode, rng, s=s)
     if stats is not None:

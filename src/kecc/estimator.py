@@ -11,7 +11,7 @@ import inspect
 
 from .driver import compute_4ecc_prepared, compute_k2ecc
 from .gen import sub_rng
-from .validation import as_digraph, check_delta, check_k, check_mode
+from .validation import as_digraph
 
 
 class _BaseEstimator:
@@ -57,9 +57,6 @@ class KPlusTwoComponents(_BaseEstimator):
 
     def fit(self, X, y=None):
         g = as_digraph(X)
-        check_k(self.k)
-        check_delta(self.delta)
-        check_mode(self.mode)
         rng = sub_rng(self.seed, "k2ecc")
         part = compute_k2ecc(g, self.k, self.delta, self.mode, rng)
         self.partition_ = part
@@ -85,8 +82,6 @@ class PreparedFourComponents(_BaseEstimator):
 
     def fit(self, X, y=None, ordinary=None):
         g = as_digraph(X, ordinary=ordinary)
-        check_delta(self.delta)
-        check_mode(self.mode)
         rng = sub_rng(self.seed, "4ecc")
         part = compute_4ecc_prepared(g, self.delta, self.mode, rng)
         self.partition_ = part

@@ -17,7 +17,8 @@ ENUM_GUARD = 20
 
 
 def _capacity_view(g):
-    """(vertices, arcs) where arcs maps (u, v) -> multiplicity, dsu-resolved."""
+    """(vertices, arcs) where arcs maps (u, v) -> multiplicity over the live
+    edges' endpoints."""
     verts = sorted(g.vertices())
     arcs = {}
     for e in g.edges():

@@ -58,14 +58,6 @@ class Partition:
             raise ValueError("blocks do not cover the universe")
         return cls.from_key(universe, owner.__getitem__)
 
-    @classmethod
-    def singletons(cls, universe):
-        return cls.from_key(universe, lambda v: v)
-
-    @classmethod
-    def one_block(cls, universe):
-        return cls.from_key(universe, lambda v: 0)
-
     def same_block(self, u, v):
         return self.label[u] == self.label[v]
 

@@ -15,13 +15,18 @@ def check_k(k):
 
 def check_delta(delta):
     if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+        raise GraphError(f"delta must lie in (0, 1), got {delta!r}")
     return delta
 
 
-def check_mode(mode, allowed=("det", "rand", "exact")):
+def check_mode(mode, rng, allowed=("det", "rand", "exact"),
+               drawing=("det", "rand")):
+    """Reject a mode outside allowed, and a mode in drawing, which draws
+    random numbers, without an rng."""
     if mode not in allowed:
-        raise ValueError(f"mode must be one of {allowed}, got {mode!r}")
+        raise GraphError(f"mode must be one of {allowed}, got {mode!r}")
+    if mode in drawing and rng is None:
+        raise GraphError(f"{mode} mode needs an rng")
     return mode
 
 

@@ -9,6 +9,17 @@ import pytest
 
 from kecc.digraph import AUX_OTHER, Digraph, GraphError
 from kecc.local_search import SearchBudget
+from kecc.partitions import Partition
+
+
+def singletons(universe):
+    """The partition of universe into one block per vertex."""
+    return Partition.from_key(universe, lambda v: v)
+
+
+def one_block(universe):
+    """The partition of universe into a single block."""
+    return Partition.from_key(universe, lambda v: 0)
 
 
 def random_digraph(rng, n, m):
@@ -128,7 +139,7 @@ def check(g):
         deg = 0
         for e in g.out_edges(v):
             assert g.e_alive[e], "dead edge in out-ring"
-            assert g.resolve(g.e_tail[e]) == g.resolve(v)
+            assert g.e_tail[e] == v, f"out-ring of {v} holds edge {e}"
             deg += 1
             assert deg <= len(g.e_tail), f"out-ring of {v} does not close"
         assert deg == g.out_deg[v], f"out_deg drift at {v}"
@@ -136,7 +147,7 @@ def check(g):
         deg = 0
         for e in g.in_edges(v):
             assert g.e_alive[e], "dead edge in in-ring"
-            assert g.resolve(g.e_head[e]) == g.resolve(v)
+            assert g.e_head[e] == v, f"in-ring of {v} holds edge {e}"
             deg += 1
             assert deg <= len(g.e_tail), f"in-ring of {v} does not close"
         assert deg == g.in_deg[v], f"in_deg drift at {v}"
@@ -197,7 +208,7 @@ def arrays(g):
     """Every array and counter of a graph, for exact comparison."""
     return (g.kind, g.v_alive, g.e_tail, g.e_head, g.e_alive, g.first_out,
             g.first_in, g.nxt_out, g.prv_out, g.nxt_in, g.prv_in, g.out_deg,
-            g.in_deg, g.n_live, g.m_live, g.dsu)
+            g.in_deg, g.n_live, g.m_live, g.contracted)
 
 
 def fingerprint(g):

@@ -425,14 +425,14 @@ def test_persisting_out_sets_pull_back(rng):
         if not non_bottom:
             continue
         gev = g.copy()
-        gev.enable_lazy()
         members, cut = non_bottom[0]
-        gev.contract_lazy(cut, min(cut), kind=AUX_KOUT)
+        rep = min(cut)
+        gev.contract_lazy(cut, rep, kind=AUX_KOUT)
+        rep_of = {u: rep if u in cut else u for u in g.vertices()}
         snap, vmap = materialize(gev)
-        expand = {vmap[old]: {u for u in g.vertices()
-                              if gev.resolve(u) == old}
+        expand = {vmap[old]: {u for u in g.vertices() if rep_of[u] == old}
                   for old in gev.vertices()}
-        for local_set in enumerate_separators(snap, vmap[gev.resolve(1 if s == 0 else 0)], vmap[s], k) \
+        for local_set in enumerate_separators(snap, vmap[rep_of[1 if s == 0 else 0]], vmap[s], k) \
                 if snap.n_live <= 12 else []:
             original = set()
             for u in local_set:

@@ -1,6 +1,7 @@
 """Graph data model: rings, counters, overlays and contraction."""
 
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import kecc.digraph as dg
 from kecc.digraph import (AUX_KIN, AUX_KOUT, AUX_OTHER, ORDINARY, Digraph,
-                          DisjointSets, GraphError, ReversalOverlay, contract,
+                          GraphError, ReversalOverlay, contract,
                           contract_complement_reduced, from_arcs, materialize,
                           out_of, vol_of)
 from kecc.gen import (gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec,
@@ -235,10 +236,34 @@ def test_contract_preserves_connectivity_random(rng):
         done += 1
 
 
+def counting_rings(g):
+    """Wrap g's out_edges and in_edges so that every ring entry they yield
+    is counted; returns the one-element count list."""
+    scanned = [0]
+
+    def counted(ring):
+        def wrapped(v):
+            for e in ring(v):
+                scanned[0] += 1
+                yield e
+        return wrapped
+
+    g.out_edges = counted(g.out_edges)
+    g.in_edges = counted(g.in_edges)
+    return scanned
+
+
 def test_contract_complement_reduced_blocks():
-    g = gen_blocks(5, 5, 2)
+    # the complement (a 20-clique) is far larger than the 5-vertex side
+    g = gen_blocks(5, 20, 2)
     a_side = set(range(5))
+    vol = vol_of(g, a_side)
+    scanned = counting_rings(g)
     red = contract_complement_reduced(g, a_side, 2)
+    # O(vol): the out-check and the out-rings read vol entries each; each
+    # member's in-ring is read up to k entries from outside, past entries
+    # from inside, which number at most vol in all
+    assert scanned[0] <= 3 * vol + 2 * len(a_side)
     h = red.graph
     a0 = red.vmap[0]
     copies = [e for e in h.out_edges(red.vbar)]
@@ -246,7 +271,6 @@ def test_contract_complement_reduced_blocks():
     assert all(h.head(e) == a0 for e in copies)
     assert h.kind[red.vbar] == AUX_KIN
     assert h.in_deg[red.vbar] == 2
-    assert red.touches <= 2 * vol_of(g, a_side) + 2 * len(a_side)
     check(h)
 
 
@@ -295,49 +319,70 @@ def test_contract_complement_preserves_inner_lambda(rng):
         done += 1
 
 
+def grouped_arcs(h, of):
+    """Vertex kinds and arc multiset of materialize(h), with every vertex
+    named by the set of original vertices that of maps to it."""
+    mat, vmap = materialize(h)
+    check(mat)
+    names = {}
+    for v, x in of.items():
+        names.setdefault(vmap[x], set()).add(v)
+    name = {x: frozenset(vs) for x, vs in names.items()}
+    assert sorted(name) == mat.vertices()
+    kinds = {name[x]: mat.kind[x] for x in name}
+    return kinds, Counter((name[mat.tail(e)], name[mat.head(e)])
+                          for e in mat.edges())
+
+
 def test_lazy_contract_matches_eager(rng):
-    for _ in range(20):
-        n = rng.randrange(4, 9)
-        g = random_digraph(rng, n, rng.randrange(6, 18))
-        members = set(rng.sample(range(n), rng.randrange(2, n)))
-        eager, v_s = contract(g, members, kind=AUX_KOUT)
-        lazy = g.copy()
-        rep = min(members)
-        lazy.contract_lazy(members, rep, kind=AUX_KOUT)
-        check(lazy)
-        mat, vmap = materialize(lazy)
-        eager_mat, emap = materialize(eager)
-        trans = {}
-        for old in g.vertices():
-            a = emap[v_s if old in members else old]
-            b = vmap[rep if old in members else old]
-            trans[b] = a
-        arcs_lazy = {}
-        for e in mat.edges():
-            key = (trans[mat.tail(e)], trans[mat.head(e)])
-            arcs_lazy[key] = arcs_lazy.get(key, 0) + 1
-        arcs_eager = {}
-        for e in eager_mat.edges():
-            key = (eager_mat.tail(e), eager_mat.head(e))
-            arcs_eager[key] = arcs_eager.get(key, 0) + 1
-        assert arcs_lazy == arcs_eager
+    # chains of up to three in-place contractions, where a later set may
+    # hold an earlier representative, against the same chain of eager ones
+    reps_merged = 0
+    for _ in range(40):
+        n = rng.randrange(5, 10)
+        g = random_digraph(rng, n, rng.randrange(6, 24))
+        lazy, eager = g.copy(), g
+        lazy_of = {v: v for v in range(n)}  # original -> lazy vertex
+        eager_of = dict(lazy_of)  # original -> eager vertex
+        reps = set()
+        for _ in range(rng.randrange(1, 4)):
+            live = lazy.vertices()
+            if len(live) < 3:
+                break
+            members = set(rng.sample(live, rng.randrange(2, len(live))))
+            rep = rng.choice(sorted(members))
+            reps_merged += bool(reps & members)
+            lazy.contract_lazy(members, rep, kind=AUX_KOUT)
+            check(lazy)
+            moved = [v for v in range(n) if lazy_of[v] in members]
+            eager, v_s = contract(eager, {eager_of[v] for v in moved},
+                                  kind=AUX_KOUT)
+            for v in moved:
+                lazy_of[v] = rep
+                eager_of[v] = v_s
+            reps.add(rep)
+        assert grouped_arcs(lazy, lazy_of) == grouped_arcs(eager, eager_of)
+    assert reps_merged
 
 
-def test_dsu_representative_override():
-    d = DisjointSets(8)
-    d.unite(3, 5)
-    assert d.find(5) == 3
-    assert d.find(3) == 3
-    d.unite(7, 3)
-    assert d.find(5) == 7
-    assert d.find(1) == 1
-
-
-def test_dsu_chain():
-    d = DisjointSets(10)
-    for v in range(1, 10):
-        d.unite(0, v)
-    assert all(d.find(v) == 0 for v in range(10))
+def test_copy_keeps_snapshots_until_a_change(rng):
+    # a copy reuses its source's snapshots; a change to either graph
+    # rebuilds that graph's own
+    g = random_digraph(rng, 8, 30)
+    fwd, bwd = g.adjacency(), g.adjacency(backward=True)
+    h = g.copy()
+    assert h.adjacency() is fwd and h.adjacency(backward=True) is bwd
+    e = g.edges()[0]
+    t, hd = g.ends(e)
+    h.delete_edge(e)
+    assert e not in h.adjacency()[t][::2]
+    assert e not in h.adjacency(backward=True)[hd][::2]
+    assert g.adjacency() is fwd and e in fwd[t][::2]
+    # a graph contracted in place, and its copies, skip the snapshot
+    h.contract_lazy([t, hd], t)
+    assert ReversalOverlay(h)._snapshot() is None
+    assert ReversalOverlay(h.copy())._snapshot() is None
+    assert ReversalOverlay(g)._snapshot() is fwd
 
 
 # -- bulk builds against sequential add_edge ---------------------------------
@@ -346,8 +391,6 @@ def test_dsu_chain():
 # copies; every bulk build must match them array for array.
 
 def ref_reversed(g):
-    if g.dsu is not None:
-        raise GraphError("reverse a materialized graph, not a lazy one")
     swap = {AUX_KOUT: AUX_KIN, AUX_KIN: AUX_KOUT}
     h = Digraph()
     for v in range(len(g.kind)):
@@ -408,27 +451,24 @@ def ref_complement_reduced(g, members, k):
     h = Digraph()
     vmap = {u: h.add_vertex(g.kind[u]) for u in sorted(memb)}
     vbar = h.add_vertex(AUX_KIN)
-    touches = 0
     for u in sorted(memb):
         for e in g.out_edges(u):
-            touches += 1
             h.add_edge(vmap[u], vmap.get(g.head(e), vbar))
     for u in sorted(memb):
         rho = 0
         for e in g.in_edges(u):
-            touches += 1
             if g.tail(e) not in memb:
                 rho += 1
                 if rho == k:
                     break
         if rho:
             h.add_edge(vbar, vmap[u], copies=min(k, rho))
-    return h, vmap, vbar, touches
+    return h, vmap, vbar
 
 
 def complement_reduced(g, members, k):
     red = contract_complement_reduced(g, members, k)
-    return red.graph, red.vmap, red.vbar, red.touches
+    return red.graph, red.vmap, red.vbar
 
 
 def ref_from_arcs(n, arcs):
@@ -495,6 +535,7 @@ def built_graphs(draw):
        st.integers(0, 1))
 def test_bulk_builds_match_add_edge(case, kind, k_shift):
     g, members = case
+    check(g)
     before = fingerprint(g)
     assert outcome(g.reversed) == outcome(ref_reversed, g)
     assert outcome(materialize, g) == outcome(ref_materialize, g)

@@ -6,9 +6,8 @@ from kecc.gen import gen_blocks, gen_cyc, gen_kn
 from kecc.oracle import (BOTTOM, all_pairs_lambda, ecc_components,
                          enumerate_separators, lambda_oracle, latest_oracle,
                          mset_oracle, mutually_connected, verify_partition)
-from kecc.partitions import Partition
 
-from conftest import random_strongly_connected
+from conftest import one_block, random_strongly_connected, singletons
 
 
 def test_all_pairs_fixtures():
@@ -80,10 +79,10 @@ def test_verify_partition_reports():
     g = gen_blocks(5, 5, 2)
     truth = ecc_components(g, 4)
     assert verify_partition(g, truth, 4).ok
-    singles = Partition.singletons(sorted(g.vertices()))
+    singles = singletons(sorted(g.vertices()))
     rep = verify_partition(g, singles, 4)
     assert not rep.ok and rep.false_separations and not rep.missed_separations
-    lump = Partition.one_block(sorted(g.vertices()))
+    lump = one_block(sorted(g.vertices()))
     rep = verify_partition(g, lump, 4)
     assert rep.ok  # one-sided: merging is not a false separation
     assert (0, 5) in rep.missed_separations or (5, 0) in rep.missed_separations

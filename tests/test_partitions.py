@@ -17,7 +17,8 @@ from kecc.partitions import (Partition, ecc_naive, good_k3_partition,
                              good_partition_low, partition_from_msets,
                              pull_back, refine, refine_many)
 
-from conftest import planted_deficient, random_strongly_connected
+from conftest import (one_block, planted_deficient, random_strongly_connected,
+                      singletons)
 
 
 def blocks_of(p):
@@ -39,15 +40,15 @@ def count_contractions(monkeypatch):
 def test_refine_identities():
     u = range(4)
     p = Partition.from_blocks(u, [[0, 1], [2, 3]])
-    assert refine(p, Partition.one_block(u)) == p
+    assert refine(p, one_block(u)) == p
     assert refine(p, p) == p
     q = Partition.from_blocks(u, [[0, 2], [1, 3]])
-    assert refine(p, q) == Partition.singletons(u)
+    assert refine(p, q) == singletons(u)
 
 
 def test_refine_universe_mismatch():
-    p = Partition.one_block(range(3))
-    q = Partition.one_block(range(4))
+    p = one_block(range(3))
+    q = one_block(range(4))
     with pytest.raises(ValueError):
         refine(p, q)
 
