@@ -759,9 +759,6 @@ def contract_complement_reduced(g, members, k):
     edges from the contracted vertex are kept.  Touches O(vol) edges.
     """
     memb = set(members)
-    out, _vol = out_and_vol(g, memb)
-    if out != k:
-        raise GraphError(f"expected a {k}-out set, found out={out}")
     order = sorted(memb)
     vmap = {u: i for i, u in enumerate(order)}
     vbar = len(order)
@@ -771,6 +768,9 @@ def contract_complement_reduced(g, members, k):
         ring = [vmap.get(g.head(e), vbar) for e in g.out_edges(u)]
         tails += [vmap[u]] * len(ring)
         heads += ring
+    out = heads.count(vbar)  # the edges leaving the set
+    if out != k:
+        raise GraphError(f"expected a {k}-out set, found out={out}")
     for u in order:
         rho = 0
         for e in g.in_edges(u):

@@ -15,7 +15,9 @@ at the vertices already certified: if lambda(u, s) >= c for every u in a
 set C, then min(lambda(v, s), c) = min(lambda(v, C | {s}), c), and below c
 the minimal min-cut sides of (v, s) and (v, C | {s}) are the same set,
 because a v-s cut X of value < c avoids C (any u in X would give
-d+(X) >= lambda(u, s) >= c).  CertifiedSink runs these flows.
+d+(X) >= lambda(u, s) >= c).  CertifiedSink runs these flows.  Each takes
+its one-edge paths into the sinks before any search, which is exact
+because any set of edge-disjoint paths extends to a maximum flow.
 """
 
 from __future__ import annotations
@@ -97,8 +99,11 @@ class CertifiedSink:
     A vertex whose flow reaches the cap is certified, so the flows of later
     vertices stop at the first certified vertex they reach instead of going
     on to s; on a graph where most vertices are well connected to s, a flow
-    costs the edges around its source.  One overlay serves every flow and
-    is rewound after each.
+    costs the edges around its source.  Edges from v straight into a sink
+    are taken as paths first, from one scan of v's ring, and a vertex with
+    cap of them is certified without a search; this is exact because any
+    edge-disjoint paths extend to a maximum flow.  One overlay serves every
+    flow and is rewound after each.
     """
 
     __slots__ = ("overlay", "marked", "cap")
@@ -119,23 +124,37 @@ class CertifiedSink:
 
     def flow(self, v):
         """(min(lambda(v, s), cap), side): side lists v's minimal min-cut
-        side when the value is below the cap, and is None (and v certified)
-        when it reaches the cap."""
+        side when the value is below the cap, as a set given in no
+        particular order, and is None (and v certified) when it reaches the
+        cap."""
         ov = self.overlay
-        if not ov.g.is_live(v) or self.marked[v]:
+        g = ov.g
+        marked = self.marked
+        cap = self.cap
+        if not g.is_live(v) or marked[v]:
             raise GraphError(f"vertex {v} is not a live uncertified vertex")
+        # the one-edge paths first, from one scan of v's ring: the overlay
+        # is rewound between flows, so the ring is the residual one
+        direct = []
+        for e in g.out_edges(v):
+            if marked[g.e_head[e]]:
+                direct.append(e)
+                if len(direct) == cap:
+                    marked[v] = 1
+                    return cap, None
         start = ov.mark()
-        value = 0
+        ov.reverse_trusted(direct)
+        value = len(direct)
         side = None
-        while value < self.cap:
-            path, side = ov.path_into(v, self.marked)
+        while value < cap:
+            path, side = ov.path_into(v, marked)
             if path is None:
                 break
             ov.reverse_trusted(path)
             value += 1
         ov.rewind(start)
         if side is None:
-            self.marked[v] = 1
+            marked[v] = 1
         return value, side
 
 

@@ -260,10 +260,11 @@ def test_contract_complement_reduced_blocks():
     vol = vol_of(g, a_side)
     scanned = counting_rings(g)
     red = contract_complement_reduced(g, a_side, 2)
-    # O(vol): the out-check and the out-rings read vol entries each; each
-    # member's in-ring is read up to k entries from outside, past entries
-    # from inside, which number at most vol in all
-    assert scanned[0] <= 3 * vol + 2 * len(a_side)
+    # O(vol): the out-rings are read once, vol entries, and the edges
+    # leaving the set are counted in that pass; each member's in-ring is
+    # read up to k entries from outside, past entries from inside, which
+    # number at most vol in all
+    assert scanned[0] <= 2 * vol + 2 * len(a_side)
     h = red.graph
     a0 = red.vmap[0]
     copies = [e for e in h.out_edges(red.vbar)]

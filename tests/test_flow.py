@@ -251,22 +251,36 @@ def test_certified_sink_argument_validation():
 @st.composite
 def certified_passes(draw):
     """A random strongly connected multigraph (often not c-connected), a
-    root, a cap c and the other vertices in a random order."""
+    root, a cap c and the other vertices in a random order.  Half of the
+    graphs are made dense with parallel arcs from each vertex into the root
+    and the first vertices of the order, so that flows end on one-edge
+    paths alone or mix them with searches."""
     rng = random.Random(draw(st.integers(0, 10**6)))
+    dense = draw(st.booleans())
     g = random_strongly_connected(rng, draw(st.integers(2, 9)),
-                                  draw(st.integers(0, 24)))
+                                  draw(st.integers(0, 40 if dense else 24)))
     s = draw(st.sampled_from(g.vertices()))
     order = draw(st.permutations([v for v in g.vertices() if v != s]))
-    return g, s, draw(st.integers(1, 4)), order
+    cap = draw(st.integers(1, 4))
+    if dense:
+        early = [s] + order[:rng.randrange(len(order) + 1)]
+        for v in order:
+            for _ in range(rng.randrange(cap + 2)):
+                t = rng.choice(early)
+                if t != v:
+                    g.add_edge(v, t)
+    return g, s, cap, order
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(certified_passes())
 def test_certified_flows_match_flows_to_the_root(case):
     # flows into the root and the vertices certified before them give
-    # min(lambda(v, s), c) and, below c, v's minimal min-cut side
+    # min(lambda(v, s), c) and, below c, v's minimal min-cut side; each
+    # flow leaves the shared overlay exactly rewound
     g, s, cap, order = case
     sink = CertifiedSink(g, s, cap)
+    ov = sink.overlay
     for v in order:
         value, side = sink.flow(v)
         assert value == lambda_bounded(g, v, s, cap)
@@ -275,6 +289,41 @@ def test_certified_flows_match_flows_to_the_root(case):
             assert len(side) == len(set(side))
         else:
             assert side is None
+        assert ov.journal == [] and not any(ov.flip) and ov.dirty == {}
+
+
+def test_certified_flow_searches_only_past_one_edge_paths(monkeypatch):
+    # edges from v straight into the sinks are taken without a search: cap
+    # of them certify v with none, and d < cap of them leave at most
+    # cap - d augmenting searches and the one that fails
+    searches = [0]
+    path_into = ReversalOverlay.path_into
+
+    def counted(ov, src, marked):
+        searches[0] += 1
+        return path_into(ov, src, marked)
+
+    monkeypatch.setattr(ReversalOverlay, "path_into", counted)
+    g = gen_kn(5)
+    g.add_edge(2, 0)  # 2 has three edges into {0, 1}
+    sink = CertifiedSink(g, 0, 3)
+    sink.certify(1)
+    assert sink.flow(2) == (3, None)
+    assert searches[0] == 0
+    with pytest.raises(GraphError, match="uncertified"):
+        sink.flow(2)  # certified
+    for seed in range(6):
+        g = gen_random_kec(30, 2, 60, seed)
+        for cap in (2, 3, 4):
+            sink = CertifiedSink(g, 0, cap)
+            for v in range(1, 30):
+                d = sum(1 for _e, y in g.succ(v) if sink.marked[y])
+                searches[0] = 0
+                value, _side = sink.flow(v)
+                if d >= cap:
+                    assert searches[0] == 0 and value == cap
+                else:
+                    assert searches[0] <= cap - d + 1
 
 
 def test_flow_reads_a_fraction_of_the_graph(monkeypatch):
