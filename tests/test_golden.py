@@ -15,9 +15,10 @@ import pytest
 
 from kecc import (compute_4ecc_prepared, compute_k2ecc, decompose_kecc,
                   gen_chain, gen_random_kec, good_k3_partition, lambda_bounded)
+from kecc.digraph import Digraph, ReversalOverlay, contract, materialize
 from kecc.oracle import ecc_components, mutually_connected
 
-from conftest import random_strongly_connected
+from conftest import random_strongly_connected, random_walk
 
 # compute_k2ecc(gen_random_kec(120, 2, 600, seed), k=2, delta=0.25, mode)
 K2ECC_DIGESTS = {
@@ -53,6 +54,10 @@ LOW_DIGESTS = {
 K3_DIGEST = "f9bc75791f04844923c4847ea9493c8ef520612712becac316990ebf0409435c"
 K3_NOT_PINNED = (25, 66, 147, 152, 229, 252, 266, 272, 279, 283, 285, 291,
                  303, 310, 325, 341, 344, 387, 398, 438, 482, 483, 509, 571)
+
+# adjacency_rows(): the order in which succ and pred list edges, on graphs
+# and on overlays, after every kind of graph change
+ADJACENCY_ORDER_DIGEST = "180bcd4e80790468917a09f42bd955776b9a1ee689b74154c50fd9564ffe2713"
 
 
 def _digest(obj):
@@ -99,6 +104,53 @@ def low_run(g):
                                                      rng)))
     rows = [[part.label[v] for v in part.universe] for _h, part in parts]
     return parts, _digest([rows, rng.random()])
+
+
+def adjacency_rows():
+    """succ and pred of every live vertex, through the graph and through an
+    overlay after seeded path reversals, over a seeded corpus of multigraphs
+    taken through edge deletion, nested in-place contraction, copy, reverse,
+    materialize and eager contraction."""
+    rng = random.Random(14)
+    rows = []
+    for _ in range(60):
+        n = rng.randrange(5, 11)
+        g = Digraph()
+        g.add_vertices(n)
+        for _ in range(rng.randrange(n, 4 * n)):
+            u, v = rng.sample(range(n), 2)
+            g.add_edge(u, v, copies=rng.randrange(1, 4))
+        for e in rng.sample(g.edges(), g.m_live // 5):
+            g.delete_edge(e)
+        lazy = g.copy()
+        # two nested sets, the second holding the first one's representative;
+        # each leaves at least three live vertices
+        members = rng.sample(range(n), rng.randrange(2, n - 2))
+        rep = rng.choice(members)
+        lazy.contract_lazy(members, rep)
+        others = [v for v in lazy.vertices() if v != rep]
+        members = rng.sample(others, rng.randrange(1, len(others) - 1)) + [rep]
+        rep = rng.choice(members)
+        lazy.contract_lazy(members, rep)
+        if lazy.m_live:
+            lazy.delete_edge(rng.choice(lazy.edges()))
+        changed = lazy.copy()
+        if changed.m_live:
+            changed.delete_edge(rng.choice(changed.edges()))
+        pair = rng.sample(g.vertices(), 2)
+        for h in (g, lazy, changed, g.reversed(), lazy.reversed(),
+                  materialize(lazy)[0], contract(g, pair)[0],
+                  contract(lazy, lazy.vertices()[:2])[0]):
+            rows.append([[list(h.succ(v)), list(h.pred(v))]
+                         for v in h.vertices()])
+            ov = ReversalOverlay(h)
+            for _ in range(3):
+                walk = random_walk(h, ov, rng, rng.choice(h.vertices()))
+                if walk:
+                    ov.reverse_path(walk)
+            rows.append([[list(ov.succ(v)), list(ov.pred(v))]
+                         for v in h.vertices()])
+    return rows
 
 
 def assert_splits_no_connected_pair(g, part, c):
@@ -154,6 +206,10 @@ def test_4ecc_prepared_rk_pin_splits_no_connected_pair():
     parts, _ = low_run(LOW_GRAPHS["rk"]())
     for h, part in parts:
         assert_splits_no_connected_pair(h, part, 4)
+
+
+def test_adjacency_order_byte_stable():
+    assert _digest(adjacency_rows()) == ADJACENCY_ORDER_DIGEST
 
 
 def test_good_k3_partition_byte_stable():
