@@ -72,12 +72,14 @@ def _cmd_lambda(args):
 def _cmd_mset(args):
     g = _read_graph(args.graph)
     v, s = _live(g, "--v", args.v), _live(g, "--s", args.s)
+    budget = args.delta_budget
+    if budget is None:
+        budget = max(1, g.m_live)
     if args.mode == "det":
-        res = local_search_mset(g, v, s, args.k, args.delta_budget)
+        res = local_search_mset(g, v, s, args.k, budget)
     else:
         rng = sub_rng(args.seed, "mset")
-        res = amplified_mset(g, v, s, args.k, args.delta_budget,
-                             args.delta / 2, rng)
+        res = amplified_mset(g, v, s, args.k, budget, args.delta / 2, rng)
     if res.found:
         out, vol = out_and_vol(g, res.members)
         doc = {"status": "found",
@@ -285,8 +287,6 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        if getattr(args, "delta_budget", "skip") is None:
-            args.delta_budget = max(1, _read_graph(args.graph).m_live)
         return args.func(args)
     except DecompositionError as exc:
         print(f"decomposition failure: {exc}", file=sys.stderr)

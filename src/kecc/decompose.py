@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 from .digraph import (AUX_KOUT, ORDINARY, Digraph, GraphError,
                       contract_complement_reduced, materialize, vol_of)
-from .flow import CertifiedSink, lambda_bounded, minimal_mincut_side
+from .flow import CertifiedSink
+# not called here; perfbench's tracer wraps both names in this module
+from .flow import lambda_bounded, minimal_mincut_side
 from .local_search import local_search_mset, randomized_local_search_mset
 from .validation import check_delta, check_k, check_mode
 
@@ -96,19 +98,21 @@ def _classify_inside(g, side, v, k, inside):
     vol(side) instead of the distance to the root.  That is exact: any
     (u, s)-cut T meets the side S in a cut with d+(T & S) <= d+(T), since
     d+(T | S) >= k = d+(S) by submodularity, so lambda(u, s) and u's minimal
-    side are the same on the side graph as on g.
+    side are the same on the side graph as on g.  One capped flow per vertex
+    gives both, into the complement and the vertices already certified
+    (the lemma in the flow module).
     """
     aux = contract_complement_reduced(g, side, k)
     back = {new: old for old, new in aux.vmap.items()}
+    sink = CertifiedSink(aux.graph, aux.vbar, k + 1)
     cuts = {}  # equal sides share one frozenset while they wait in inside
     for u in sorted(side):
         if u <= v or g.kind[u] != ORDINARY or u in inside:
             continue
-        lam = lambda_bounded(aux.graph, aux.vmap[u], aux.vbar, k + 1)
+        lam, reach = sink.flow(aux.vmap[u])
         cut = None
         if lam == k:
-            cut = frozenset(back[x] for x in minimal_mincut_side(
-                aux.graph, aux.vmap[u], aux.vbar))
+            cut = frozenset(back[x] for x in reach)
             cut = cuts.setdefault(cut, cut)
         inside[u] = (lam, cut)
 

@@ -1,25 +1,25 @@
-"""Directed multigraph with ring adjacency, edge-reversal overlays and contraction.
+"""Directed multigraph with per-vertex edge lists, edge-reversal overlays
+and contraction.
 
-The graph keeps one circular doubly-linked ring of outgoing edges and one of
-entering edges per vertex, so single edges can be unlinked and whole rings can
-be merged in constant time.  Contraction comes in two flavours: an eager
-rebuild that returns a fresh graph, and an in-place form that rewrites the
-endpoints of the merged vertices' edges to the representative and splices
-their rings into its rings, in time linear in the set's volume.
+Every vertex keeps the ids of its outgoing edges in out[v] and of its
+entering edges in inn[v], in insertion order; every traversal reads them in
+that order.  Contraction comes in two flavours: an eager rebuild that returns
+a fresh graph, and an in-place form that drops the set's internal edges,
+rewrites the endpoints of the merged vertices' edges to the representative
+and appends their lists to its lists, in time linear in the set's volume.
 
 Whole-graph copies (reversed, materialize, contract,
 contract_complement_reduced, from_arcs) each build two edge lists and hand
 them to one bulk builder, _build.  Its result is identical to the graph that
 sequential add_vertex and add_edge calls would build: the same edge ids, the
-same ring order, the same arrays and counters, and add_edge's error for bad
+same list order, the same arrays and counters, and add_edge's error for bad
 input.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import eq
 
 ORDINARY = 0
@@ -42,21 +42,15 @@ class Digraph:
         self.e_tail = []
         self.e_head = []
         self.e_alive = []
-        # circular doubly-linked rings, one out-ring and one in-ring per vertex
-        self.first_out = []
-        self.first_in = []
-        self.nxt_out = []
-        self.prv_out = []
-        self.nxt_in = []
-        self.prv_in = []
-        self.out_deg = []
-        self.in_deg = []
+        # per-vertex ids of the live outgoing and entering edges, in order
+        self.out = []
+        self.inn = []
         self.n_live = 0
         self.m_live = 0
-        # set once contract_lazy has run: traversals then skip the snapshot
-        self.contracted = False
-        self._version = 0
-        self._adj_cache = {}
+
+    # degree views for callers that index them, such as perfbench's workloads
+    out_deg = property(lambda self: _Lengths(self.out))
+    in_deg = property(lambda self: _Lengths(self.inn))
 
     # -- construction ------------------------------------------------------
 
@@ -64,12 +58,9 @@ class Digraph:
         v = len(self.kind)
         self.kind.append(kind)
         self.v_alive.append(True)
-        self.first_out.append(-1)
-        self.first_in.append(-1)
-        self.out_deg.append(0)
-        self.in_deg.append(0)
+        self.out.append([])
+        self.inn.append([])
         self.n_live += 1
-        self._version += 1
         return v
 
     def add_vertices(self, count, kind=ORDINARY):
@@ -91,91 +82,26 @@ class Digraph:
             raise GraphError(f"self-loop ({tail},{head}) rejected")
         if len(self.e_tail) + copies > MAX_EDGES:
             raise GraphError("expanded edge count exceeds limit")
-        self._version += 1
         out = []
         for _ in range(copies):
             e = len(self.e_tail)
             self.e_tail.append(tail)
             self.e_head.append(head)
             self.e_alive.append(True)
-            self.nxt_out.append(-1)
-            self.prv_out.append(-1)
-            self.nxt_in.append(-1)
-            self.prv_in.append(-1)
-            self._ring_append(e, tail, self.first_out, self.nxt_out, self.prv_out)
-            self._ring_append(e, head, self.first_in, self.nxt_in, self.prv_in)
-            self.out_deg[tail] += 1
-            self.in_deg[head] += 1
-            self.m_live += 1
+            self.out[tail].append(e)
+            self.inn[head].append(e)
             out.append(e)
+        self.m_live += copies
         return out
 
-    def _ring_append(self, e, owner, first, nxt, prv):
-        f = first[owner]
-        if f < 0:
-            first[owner] = e
-            nxt[e] = e
-            prv[e] = e
-        else:
-            last = prv[f]
-            nxt[last] = e
-            prv[e] = last
-            nxt[e] = f
-            prv[f] = e
-
-    def _ring_unlink(self, e, owner, first, nxt, prv):
-        if nxt[e] == e:
-            first[owner] = -1
-        else:
-            nxt[prv[e]] = nxt[e]
-            prv[nxt[e]] = prv[e]
-            if first[owner] == e:
-                first[owner] = nxt[e]
-        nxt[e] = -1
-        prv[e] = -1
-
     def delete_edge(self, e):
+        """Remove a live edge from its ends' lists, in O(deg) of its ends."""
         if not (0 <= e < len(self.e_tail)) or not self.e_alive[e]:
             raise GraphError(f"edge {e} is not live")
-        self._version += 1
-        t_owner = self.tail(e)
-        h_owner = self.head(e)
-        self._ring_unlink(e, t_owner, self.first_out, self.nxt_out, self.prv_out)
-        self._ring_unlink(e, h_owner, self.first_in, self.nxt_in, self.prv_in)
-        self.out_deg[t_owner] -= 1
-        self.in_deg[h_owner] -= 1
+        self.out[self.e_tail[e]].remove(e)
+        self.inn[self.e_head[e]].remove(e)
         self.e_alive[e] = False
         self.m_live -= 1
-
-    def merge_in_rings(self, src, dst):
-        """Append src's entering-edge ring onto dst's; O(1)."""
-        self._merge(src, dst, self.first_in, self.nxt_in, self.prv_in)
-        self.in_deg[dst] += self.in_deg[src]
-        self.in_deg[src] = 0
-        self._version += 1
-
-    def merge_out_rings(self, src, dst):
-        self._merge(src, dst, self.first_out, self.nxt_out, self.prv_out)
-        self.out_deg[dst] += self.out_deg[src]
-        self.out_deg[src] = 0
-        self._version += 1
-
-    def _merge(self, src, dst, first, nxt, prv):
-        fs = first[src]
-        if fs < 0:
-            return
-        fd = first[dst]
-        first[src] = -1
-        if fd < 0:
-            first[dst] = fs
-            return
-        # splice src's cycle after dst's last element
-        ld = prv[fd]
-        ls = prv[fs]
-        nxt[ld] = fs
-        prv[fs] = ld
-        nxt[ls] = fd
-        prv[fd] = ls
 
     # -- queries -----------------------------------------------------------
 
@@ -191,37 +117,22 @@ class Digraph:
     def ends(self, e):
         return self.tail(e), self.head(e)
 
+    # out_edges and in_edges return the graph's own lists: read them only,
+    # and copy one before changing the graph while walking it
+
     def out_edges(self, v):
-        e = self.first_out[v]
-        if e < 0:
-            return
-        first = e
-        nxt = self.nxt_out
-        while True:
-            yield e
-            e = nxt[e]
-            if e == first:
-                return
+        return self.out[v]
 
     def in_edges(self, v):
-        e = self.first_in[v]
-        if e < 0:
-            return
-        first = e
-        nxt = self.nxt_in
-        while True:
-            yield e
-            e = nxt[e]
-            if e == first:
-                return
+        return self.inn[v]
 
     def succ(self, v):
-        for e in self.out_edges(v):
-            yield e, self.head(e)
+        ids = self.out[v]
+        return zip(ids, map(self.e_head.__getitem__, ids))
 
     def pred(self, v):
-        for e in self.in_edges(v):
-            yield e, self.tail(e)
+        ids = self.inn[v]
+        return zip(ids, map(self.e_tail.__getitem__, ids))
 
     def vertices(self):
         return [v for v in range(len(self.kind)) if self.v_alive[v]]
@@ -248,20 +159,10 @@ class Digraph:
         g.e_tail = self.e_tail[:]
         g.e_head = self.e_head[:]
         g.e_alive = self.e_alive[:]
-        g.first_out = self.first_out[:]
-        g.first_in = self.first_in[:]
-        g.nxt_out = self.nxt_out[:]
-        g.prv_out = self.prv_out[:]
-        g.nxt_in = self.nxt_in[:]
-        g.prv_in = self.prv_in[:]
-        g.out_deg = self.out_deg[:]
-        g.in_deg = self.in_deg[:]
+        g.out = [ids[:] for ids in self.out]
+        g.inn = [ids[:] for ids in self.inn]
         g.n_live = self.n_live
         g.m_live = self.m_live
-        g.contracted = self.contracted
-        # equal arrays: the snapshots stay valid until either graph changes
-        g._version = self._version
-        g._adj_cache = dict(self._adj_cache)
         return g
 
     def reversed(self):
@@ -271,18 +172,20 @@ class Digraph:
         tails = []
         heads = []
         for v in self.vertices():
-            ring = [e_head[e] for e in self.out_edges(v)]
-            tails += ring
-            heads += [v] * len(ring)
+            ids = self.out[v]
+            tails += map(e_head.__getitem__, ids)
+            heads += [v] * len(ids)
         return _build([swap.get(x, x) for x in self.kind], self.v_alive[:],
                       tails, heads)
 
     def contract_lazy(self, members, rep, kind=AUX_KOUT):
-        """Contract a vertex set in place: endpoint rewrite plus ring surgery.
+        """Contract a vertex set in place: drop its internal edges, then
+        rewrite the other members' edges to rep and append their lists to
+        rep's lists, one member after another in the order of set(members).
 
         Runs in O(vol(members)).  rep must belong to members; it survives,
-        relabelled with the given kind, and owns the merged rings, whose
-        edges name it as their tail or head.
+        relabelled with the given kind, and its lists hold every edge that
+        leaves or enters the set.
         """
         memb = set(members)
         if rep not in memb:
@@ -290,47 +193,41 @@ class Digraph:
         for u in memb:
             if not self.is_live(u):
                 raise GraphError(f"vertex {u} is not live")
-        self.contracted = True
-        self._version += 1
-        internal = []
-        for u in memb:
-            for e in self.out_edges(u):
-                if self.head(e) in memb:
-                    internal.append(e)
+        out, inn = self.out, self.inn
+        e_tail, e_head, e_alive = self.e_tail, self.e_head, self.e_alive
+        internal = [e for u in memb for e in out[u] if e_head[e] in memb]
         for e in internal:
-            self.delete_edge(e)
+            e_alive[e] = False
+        self.m_live -= len(internal)
+        for u in memb:
+            out[u] = [e for e in out[u] if e_alive[e]]
+            inn[u] = [e for e in inn[u] if e_alive[e]]
         for u in memb:
             if u != rep:
-                for e in self.out_edges(u):
-                    self.e_tail[e] = rep
-                for e in self.in_edges(u):
-                    self.e_head[e] = rep
-                self.merge_in_rings(u, rep)
-                self.merge_out_rings(u, rep)
+                for e in out[u]:
+                    e_tail[e] = rep
+                for e in inn[u]:
+                    e_head[e] = rep
+                out[rep] += out[u]
+                inn[rep] += inn[u]
+                out[u] = []
+                inn[u] = []
                 self.v_alive[u] = False
                 self.n_live -= 1
         self.kind[rep] = kind
         return rep
 
-    # -- adjacency snapshot for hot traversals -----------------------------
 
-    def adjacency(self, backward=False):
-        """Per-vertex flat lists [e0, head0, e1, head1, ...] in ring order,
-        with tails in place of heads when backward.
+class _Lengths:
+    """Read-only view v -> len(lists[v])."""
 
-        Flat lists rather than (edge, head) tuples keep the snapshot as small
-        as offset arrays would.  Each direction is built on first use and
-        cached until the next mutation.
-        """
-        cached = self._adj_cache.get(backward)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        ring, end = ((self.in_edges, self.e_tail) if backward
-                     else (self.out_edges, self.e_head))
-        adj = [[x for e in ring(v) for x in (e, end[e])]
-               if self.v_alive[v] else [] for v in range(len(self.kind))]
-        self._adj_cache[backward] = (self._version, adj)
-        return adj
+    __slots__ = ("lists",)
+
+    def __init__(self, lists):
+        self.lists = lists
+
+    def __getitem__(self, v):
+        return len(self.lists[v])
 
 
 class ReversalOverlay:
@@ -338,10 +235,12 @@ class ReversalOverlay:
 
     Traversal through the overlay sees edge (x, y) as (y, x) when flipped.
     The base graph is never touched; rewind restores the overlay to an
-    earlier journal mark exactly.  Flows find augmenting paths with the
-    two-sided search augmenting_path and read residual reach with bfs; local
-    searches walk the overlay with bounded_bfs.  path_into serves flows into
-    a set of sinks marked in a bytearray.
+    earlier journal mark exactly.  succ and pred walk a vertex's edge lists
+    directly while it has no flipped edge, and skip or turn its flipped
+    edges otherwise.  Flows find augmenting paths with the two-sided search
+    augmenting_path and read residual reach with bfs; local searches walk
+    the overlay with bounded_bfs.  path_into serves flows into a set of
+    sinks marked in a bytearray.
     """
 
     def __init__(self, g):
@@ -403,42 +302,28 @@ class ReversalOverlay:
             self._toggle(journal.pop())
 
     def succ(self, v):
+        """(edge, head) pairs of v's edges as the overlay directs them: its
+        unflipped out-edges, then its flipped in-edges."""
         g = self.g
         if v not in self.dirty:
-            yield from g.succ(v)
-            return
+            return g.succ(v)
         flip = self.flip
-        for e in g.out_edges(v):
-            if not flip[e]:
-                yield e, g.head(e)
-        for e in g.in_edges(v):
-            if flip[e]:
-                yield e, g.tail(e)
+        return chain(((e, g.e_head[e]) for e in g.out[v] if not flip[e]),
+                     ((e, g.e_tail[e]) for e in g.inn[v] if flip[e]))
 
     def pred(self, v):
+        """(edge, tail) pairs of v's entering edges, in the order of succ."""
         g = self.g
         if v not in self.dirty:
-            yield from g.pred(v)
-            return
+            return g.pred(v)
         flip = self.flip
-        for e in g.in_edges(v):
-            if not flip[e]:
-                yield e, g.tail(e)
-        for e in g.out_edges(v):
-            if flip[e]:
-                yield e, g.head(e)
+        return chain(((e, g.e_tail[e]) for e in g.inn[v] if not flip[e]),
+                     ((e, g.e_head[e]) for e in g.out[v] if flip[e]))
 
     # -- traversal ---------------------------------------------------------
     #
-    # Vertices without a flipped edge are walked through the adjacency
-    # snapshot; the rest, and every vertex of a graph contracted in place,
-    # through succ/pred.  Both visit edges in ring order.  Such a graph is
-    # the evolving one of a decomposition phase, and a snapshot rebuilt
-    # after each of its contractions would cost O(m) per class.
-
-    def _snapshot(self, backward=False):
-        g = self.g
-        return None if g.contracted else g.adjacency(backward)
+    # The kernels read adjacency only through succ and pred, lazily, so a
+    # search that stops early never touches the rest of a vertex's lists.
 
     def bfs(self, src, backward=False):
         """Vertices reachable from src over successors, or predecessors when
@@ -446,16 +331,9 @@ class ReversalOverlay:
         visited = bytearray(len(self.g.kind))
         visited[src] = 1
         queue = [src]
-        dirty = self.dirty
         step = self.pred if backward else self.succ
-        snap = self._snapshot(backward)
         for x in queue:
-            if snap is not None and x not in dirty:
-                flat = iter(snap[x])
-                adj = zip(flat, flat)  # consecutive (edge, end) pairs
-            else:
-                adj = step(x)
-            for _e, y in adj:
+            for _e, y in step(x):
                 if not visited[y]:
                     visited[y] = 1
                     queue.append(y)
@@ -478,18 +356,10 @@ class ReversalOverlay:
         tree = [-1] * n  # edge each vertex was seen by, toward its side's root
         fq = [src]
         bq = [dst]
-        dirty = self.dirty
-        fsnap = self._snapshot()
-        bsnap = self._snapshot(True)
         # zip draws the next vertex of each growing queue per turn and ends
         # when either queue has none left
         for x, y in zip(fq, bq):
-            if fsnap is not None and x not in dirty:
-                flat = iter(fsnap[x])
-                adj = zip(flat, flat)
-            else:
-                adj = self.succ(x)
-            for e, z in adj:
+            for e, z in self.succ(x):
                 if fseen[z]:
                     continue
                 if bseen[z]:
@@ -497,12 +367,7 @@ class ReversalOverlay:
                 fseen[z] = 1
                 tree[z] = e
                 fq.append(z)
-            if bsnap is not None and y not in dirty:
-                flat = iter(bsnap[y])
-                adj = zip(flat, flat)
-            else:
-                adj = self.pred(y)
-            for e, z in adj:
+            for e, z in self.pred(y):
                 if bseen[z]:
                     continue
                 if fseen[z]:
@@ -525,15 +390,8 @@ class ReversalOverlay:
         """
         tree = {src: -1}  # edge each seen vertex was reached by
         queue = [src]
-        dirty = self.dirty
-        snap = self._snapshot()
         for x in queue:
-            if snap is not None and x not in dirty:
-                flat = iter(snap[x])
-                adj = zip(flat, flat)
-            else:
-                adj = self.succ(x)
-            for e, y in adj:
+            for e, y in self.succ(x):
                 if y in tree:
                     continue
                 tree[y] = e
@@ -559,17 +417,10 @@ class ReversalOverlay:
         tree = [-1] * n
         queue = [src]
         left = limit
-        dirty = self.dirty
-        snap = self._snapshot()
         for x in queue:
             if not left:
                 break
-            if snap is not None and x not in dirty:
-                flat = iter(snap[x])
-                adj = zip(flat, flat)
-            else:
-                adj = self.succ(x)
-            for e, y in islice(adj, left):
+            for e, y in islice(self.succ(x), left):
                 left -= 1
                 if scanned is not None:
                     scanned.append(e)
@@ -636,34 +487,19 @@ def _build(kinds, alive, tails, heads):
     g.e_tail = tails
     g.e_head = heads
     g.e_alive = [True] * len(tails)
-    g.first_out, g.nxt_out, g.prv_out, g.out_deg = _rings(n, tails)
-    g.first_in, g.nxt_in, g.prv_in, g.in_deg = _rings(n, heads)
+    g.out = _lists(n, tails)
+    g.inn = _lists(n, heads)
     g.n_live = sum(alive)
     g.m_live = len(tails)
     return g
 
 
-def _rings(n, owners):
-    """(first, nxt, prv, deg) of the rings that appending edges 0, 1, ...
-    to the rings of their owners one at a time would build."""
-    first = [-1] * n
-    last = [-1] * n
-    nxt = [-1] * len(owners)
-    prv = nxt[:]
+def _lists(n, owners):
+    """Per-vertex lists of the edge ids e with owners[e] == v, ascending."""
+    lists = [[] for _ in range(n)]
     for e, v in enumerate(owners):
-        p = last[v]
-        if p < 0:
-            first[v] = e
-        else:
-            nxt[p] = e
-            prv[e] = p
-        last[v] = e
-    for f, p in zip(first, last):
-        if f >= 0:
-            nxt[p] = f
-            prv[f] = p
-    count = Counter(owners)
-    return first, nxt, prv, [count[v] for v in range(n)]
+        lists[v].append(e)
+    return lists
 
 
 def from_arcs(n, arcs, ordinary=None):
@@ -765,9 +601,9 @@ def contract_complement_reduced(g, members, k):
     tails = []
     heads = []
     for u in order:
-        ring = [vmap.get(g.head(e), vbar) for e in g.out_edges(u)]
-        tails += [vmap[u]] * len(ring)
-        heads += ring
+        ends = [vmap.get(g.head(e), vbar) for e in g.out_edges(u)]
+        tails += [vmap[u]] * len(ends)
+        heads += ends
     out = heads.count(vbar)  # the edges leaving the set
     if out != k:
         raise GraphError(f"expected a {k}-out set, found out={out}")
@@ -795,8 +631,8 @@ def materialize(g):
     tails = []
     heads = []
     for v in verts:
-        ring = [vmap[g.head(e)] for e in g.out_edges(v)]
-        tails += [vmap[v]] * len(ring)
-        heads += ring
+        ends = [vmap[g.head(e)] for e in g.out_edges(v)]
+        tails += [vmap[v]] * len(ends)
+        heads += ends
     return _build([g.kind[v] for v in verts], [True] * len(verts), tails,
                   heads), vmap

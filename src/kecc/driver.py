@@ -127,7 +127,7 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
         raise GraphError("graph has no ordinary vertex")
     if s is None:
         # max keeps the first, i.e. smallest, of equally connected vertices
-        s = max(ordinary, key=lambda v: min(h.in_deg[v], h.out_deg[v]))
+        s = max(ordinary, key=lambda v: min(len(h.inn[v]), len(h.out[v])))
     elif s not in ordinary:
         raise GraphError(f"start vertex {s} is not a live ordinary vertex")
     forward = _one_direction(h, s, k, delta, mode, rng, low, stats)

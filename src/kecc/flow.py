@@ -100,10 +100,10 @@ class CertifiedSink:
     vertices stop at the first certified vertex they reach instead of going
     on to s; on a graph where most vertices are well connected to s, a flow
     costs the edges around its source.  Edges from v straight into a sink
-    are taken as paths first, from one scan of v's ring, and a vertex with
-    cap of them is certified without a search; this is exact because any
-    edge-disjoint paths extend to a maximum flow.  One overlay serves every
-    flow and is rewound after each.
+    are taken as paths first, from one scan of v's out-list, and a vertex
+    with cap of them is certified without a search; this is exact because
+    any edge-disjoint paths extend to a maximum flow.  One overlay serves
+    every flow and is rewound after each.
     """
 
     __slots__ = ("overlay", "marked", "cap")
@@ -133,8 +133,8 @@ class CertifiedSink:
         cap = self.cap
         if not g.is_live(v) or marked[v]:
             raise GraphError(f"vertex {v} is not a live uncertified vertex")
-        # the one-edge paths first, from one scan of v's ring: the overlay
-        # is rewound between flows, so the ring is the residual one
+        # the one-edge paths first, from one scan of v's out-list: the
+        # overlay is rewound between flows, so the list is the residual one
         direct = []
         for e in g.out_edges(v):
             if marked[g.e_head[e]]:

@@ -2,7 +2,7 @@
 minimal/latest separators and exhaustive separator enumeration.
 
 Everything here is written against a plain capacity-dict view of the graph,
-independently of the ring and overlay machinery, so it can be trusted to
+independently of the edge lists and overlay machinery, so it can be trusted to
 cross-check the fast paths.  Performance is a non-goal.
 """
 

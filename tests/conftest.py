@@ -130,30 +130,24 @@ def induced(g, members):
 
 
 def check(g):
-    """Assert ring/counter consistency of a graph."""
+    """Assert edge-list/counter consistency of a graph: each live edge sits
+    exactly once in its tail's out-list and once in its head's in-list, and
+    no dead edge is listed."""
     n_seen = sum(1 for v in range(len(g.kind)) if g.v_alive[v])
     assert n_seen == g.n_live, "vertex counter drift"
-    m_out = 0
-    m_in = 0
+    assert len(g.out) == len(g.inn) == len(g.kind), "list count drift"
+    outs = [e for ids in g.out for e in ids]
+    ins = [e for ids in g.inn for e in ids]
     for v in range(len(g.kind)):
-        deg = 0
-        for e in g.out_edges(v):
-            assert g.e_alive[e], "dead edge in out-ring"
-            assert g.e_tail[e] == v, f"out-ring of {v} holds edge {e}"
-            deg += 1
-            assert deg <= len(g.e_tail), f"out-ring of {v} does not close"
-        assert deg == g.out_deg[v], f"out_deg drift at {v}"
-        m_out += deg
-        deg = 0
-        for e in g.in_edges(v):
-            assert g.e_alive[e], "dead edge in in-ring"
-            assert g.e_head[e] == v, f"in-ring of {v} holds edge {e}"
-            deg += 1
-            assert deg <= len(g.e_tail), f"in-ring of {v} does not close"
-        assert deg == g.in_deg[v], f"in_deg drift at {v}"
-        m_in += deg
-    m_alive = sum(1 for e in range(len(g.e_tail)) if g.e_alive[e])
-    assert m_out == m_in == m_alive == g.m_live, "edge counter drift"
+        for e in g.out[v]:
+            assert g.e_alive[e], "dead edge in out-list"
+            assert g.e_tail[e] == v, f"out-list of {v} holds edge {e}"
+        for e in g.inn[v]:
+            assert g.e_alive[e], "dead edge in in-list"
+            assert g.e_head[e] == v, f"in-list of {v} holds edge {e}"
+    live = [e for e in range(len(g.e_tail)) if g.e_alive[e]]
+    assert sorted(outs) == sorted(ins) == live, "edge listed twice or not"
+    assert len(live) == g.m_live, "edge counter drift"
 
 
 def pq_dag(pq):
@@ -206,17 +200,15 @@ def closed_sets(pq, guard=20):
 
 def arrays(g):
     """Every array and counter of a graph, for exact comparison."""
-    return (g.kind, g.v_alive, g.e_tail, g.e_head, g.e_alive, g.first_out,
-            g.first_in, g.nxt_out, g.prv_out, g.nxt_in, g.prv_in, g.out_deg,
-            g.in_deg, g.n_live, g.m_live, g.contracted)
+    return (g.kind, g.v_alive, g.e_tail, g.e_head, g.e_alive, g.out, g.inn,
+            g.n_live, g.m_live)
 
 
 def fingerprint(g):
-    """Structural hash of the full graph state, rings included."""
+    """Structural hash of the full graph state, edge lists included."""
     return hash((
         tuple(g.kind), tuple(g.v_alive), tuple(g.e_tail), tuple(g.e_head),
-        tuple(g.e_alive), tuple(g.first_out), tuple(g.first_in),
-        tuple(g.nxt_out), tuple(g.prv_out), tuple(g.nxt_in), tuple(g.prv_in),
+        tuple(g.e_alive), tuple(map(tuple, g.out)), tuple(map(tuple, g.inn)),
         g.n_live, g.m_live,
     ))
 

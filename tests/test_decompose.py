@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kecc.decompose as dc
+import kecc.flow
 from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
                             verify_decomposition)
 from kecc.digraph import (AUX_KOUT, GraphError, from_arcs, materialize, out_of,
@@ -119,13 +120,8 @@ def test_proper_order_matches_whole_graph_flows(case):
 
 def recorded_flow_graphs(monkeypatch):
     """The list that receives the graph of each flow that proper_order makes
-    from now on: certified flows on the whole graph and lambda_bounded calls
-    on side graphs."""
+    from now on: certified flows on the whole graph and on side graphs."""
     graphs = []
-
-    def recorded(h, u, v, cap):
-        graphs.append(h)
-        return lambda_bounded(h, u, v, cap)
 
     class Recorded(CertifiedSink):
         __slots__ = ()
@@ -134,18 +130,24 @@ def recorded_flow_graphs(monkeypatch):
             graphs.append(self.overlay.g)
             return super().flow(v)
 
-    monkeypatch.setattr(dc, "lambda_bounded", recorded)
     monkeypatch.setattr(dc, "CertifiedSink", Recorded)
     return graphs
 
 
 def test_proper_order_flows_follow_blocks(monkeypatch):
     # one whole-graph flow per block of 6, not one per vertex (179 before)
+    # and one certified flow per side-graph vertex, which reads both lambda
+    # and the minimal side: no flow_state call at all (290 before)
     g = gen_chain(30, 6, 1)
     graphs = recorded_flow_graphs(monkeypatch)
+    plain = []
+    flow_state = kecc.flow.flow_state
+    monkeypatch.setattr(kecc.flow, "flow_state",
+                        lambda *args: plain.append(args) or flow_state(*args))
     proper_order(g, 0, 2)
     assert len(graphs) == 179
     assert sum(h is g for h in graphs) <= 34
+    assert not plain
 
 
 def test_proper_order_side_graph_keeps_precondition(monkeypatch):

@@ -340,10 +340,7 @@ def test_flow_reads_a_fraction_of_the_graph(monkeypatch):
                 yield entry
         return walk
 
-    # without snapshots every adjacency entry is read through succ or pred,
-    # in the same order
-    monkeypatch.setattr(ReversalOverlay, "_snapshot",
-                        lambda ov, backward=False: None)
+    # the kernels read every adjacency entry through succ or pred
     monkeypatch.setattr(ReversalOverlay, "succ", counted(succ))
     monkeypatch.setattr(ReversalOverlay, "pred", counted(pred))
     g = gen_random_kec(300, 2, 1800, 1)

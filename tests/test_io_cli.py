@@ -91,6 +91,25 @@ def test_cli_lambda_and_mset(tmp_path, capsys):
     assert doc["vol"] == 22
 
 
+def test_cli_mset_reads_the_graph_once(tmp_path, capsys, monkeypatch):
+    # the default budget is the edge count of the graph mset already read
+    path = tmp_path / "b.gr"
+    main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",
+          str(path)])
+    reads = []
+    monkeypatch.setattr(cli, "parse_graph",
+                        lambda text: reads.append(text) or parse_graph(text))
+    argv = ["mset", str(path), "--v", "7", "--s", "2", "--k", "2"]
+    for mode in ("det", "rand"):
+        reads.clear()
+        assert main(argv + ["--mode", mode]) == 0
+        assert len(reads) == 1
+        default = capsys.readouterr().out
+        m = parse_graph(reads[0]).m_live
+        assert main(argv + ["--mode", mode, "--delta-budget", str(m)]) == 0
+        assert capsys.readouterr().out == default
+
+
 def test_cli_mset_rejects_bad_vertex(tmp_path, capsys):
     # --v and --s are 1-based: 0 and ids past n are input errors
     path = tmp_path / "b.gr"

@@ -258,7 +258,7 @@ def test_search_argument_validation(rng):
 
 
 def test_searches_reject_non_live_ends():
-    # -1 used to read the last vertex's ring, and the randomized search
+    # -1 used to read the last vertex's edges, and the randomized search
     # followed its tree round a cycle without end
     g = gen_blocks(5, 5, 2)
     for v, s in ((-1, 0), (0, -1), (99, 0), (0, 99)):
