@@ -306,7 +306,8 @@ class ReversalOverlay:
         unflipped out-edges, then its flipped in-edges."""
         g = self.g
         if v not in self.dirty:
-            return g.succ(v)
+            ids = g.out[v]
+            return zip(ids, map(g.e_head.__getitem__, ids))
         flip = self.flip
         return chain(((e, g.e_head[e]) for e in g.out[v] if not flip[e]),
                      ((e, g.e_tail[e]) for e in g.inn[v] if flip[e]))
@@ -315,7 +316,8 @@ class ReversalOverlay:
         """(edge, tail) pairs of v's entering edges, in the order of succ."""
         g = self.g
         if v not in self.dirty:
-            return g.pred(v)
+            ids = g.inn[v]
+            return zip(ids, map(g.e_tail.__getitem__, ids))
         flip = self.flip
         return chain(((e, g.e_tail[e]) for e in g.inn[v] if not flip[e]),
                      ((e, g.e_head[e]) for e in g.out[v] if flip[e]))
