@@ -313,7 +313,8 @@ class ReversalOverlay:
                      ((e, g.e_tail[e]) for e in g.inn[v] if flip[e]))
 
     def pred(self, v):
-        """(edge, tail) pairs of v's entering edges, in the order of succ."""
+        """(edge, tail) pairs of the edges entering v as the overlay directs
+        them: its unflipped in-edges, then its flipped out-edges."""
         g = self.g
         if v not in self.dirty:
             ids = g.inn[v]
