@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .digraph import (AUX_KOUT, ORDINARY, Digraph, GraphError,
                       contract_complement_reduced, materialize, vol_of)
-from .flow import CertifiedSink
+from .flow import flow_state
 # not called here; perfbench's tracer wraps both names in this module
 from .flow import lambda_bounded, minimal_mincut_side
 from .local_search import local_search_mset, randomized_local_search_mset
@@ -63,25 +63,27 @@ def proper_order(g, s, k):
     by_set = {}
     bottom = []
     inside = {}  # later vertex -> (lambda, minimal side) from a side graph
-    sink = CertifiedSink(g, s, k + 1)
+    sinks = bytearray(g.n_slots())
+    sinks[s] = 1
     for v in g.ordinary_vertices():
         if v == s:
             bottom.append(v)
             continue
         lam, side = inside.pop(v, (None, None))
         if lam is None:
-            lam, reach = sink.flow(v)
+            fs = flow_state(g, v, s, k + 1, sinks)
+            lam = fs.value
+            if lam == k:
+                side = fs.minimal_side()
+                if len(side) > 1:
+                    _classify_inside(g, side, v, k, inside)
         if lam > k:
-            sink.certify(v)
+            sinks[v] = 1  # a side-graph flow marked its own sinks only
             bottom.append(v)
             continue
         if lam < k:
             raise GraphError(
                 f"graph is not {k}-edge-connected: lambda({v},{s})={lam}")
-        if side is None:
-            side = frozenset(reach)
-            if len(side) > 1:
-                _classify_inside(g, side, v, k, inside)
         by_set.setdefault(side, []).append(v)
     classes = [(members, key) for key, members in by_set.items()]
     classes.sort(key=lambda mc: (len(mc[1]), min(mc[1])))
@@ -104,17 +106,18 @@ def _classify_inside(g, side, v, k, inside):
     """
     aux = contract_complement_reduced(g, side, k)
     back = {new: old for old, new in aux.vmap.items()}
-    sink = CertifiedSink(aux.graph, aux.vbar, k + 1)
+    sinks = bytearray(aux.graph.n_slots())
+    sinks[aux.vbar] = 1
     cuts = {}  # equal sides share one frozenset while they wait in inside
     for u in sorted(side):
         if u <= v or g.kind[u] != ORDINARY or u in inside:
             continue
-        lam, reach = sink.flow(aux.vmap[u])
+        fs = flow_state(aux.graph, aux.vmap[u], aux.vbar, k + 1, sinks)
         cut = None
-        if lam == k:
-            cut = frozenset(back[x] for x in reach)
+        if fs.value == k:
+            cut = frozenset(back[x] for x in fs.minimal_side())
             cut = cuts.setdefault(cut, cut)
-        inside[u] = (lam, cut)
+        inside[u] = (fs.value, cut)
 
 
 @dataclass

@@ -381,15 +381,12 @@ class ReversalOverlay:
         return None
 
     def path_into(self, src, marked):
-        """Forward breadth-first search from an unmarked src that stops at
-        the first vertex marked in the bytearray marked and never expands
-        one.
+        """Edges of a path from an unmarked src to a vertex marked in the
+        bytearray marked, in walk order, or None when none is reachable.
 
-        Returns (path, None), with the edges of the path from src to that
-        vertex in walk order, or (None, reach) when no marked vertex is
-        reachable, with the vertices reached in discovery order.  Only the
-        vertices seen are recorded, so a search that ends near src costs
-        the edges around it.
+        The forward breadth-first search stops at the first marked vertex it
+        sees and never expands one.  Only the vertices seen are recorded, so
+        a search that ends near src costs the edges around it.
         """
         tree = {src: -1}  # edge each seen vertex was reached by
         queue = [src]
@@ -399,9 +396,9 @@ class ReversalOverlay:
                     continue
                 tree[y] = e
                 if marked[y]:
-                    return self.tree_path(tree, src, y), None
+                    return self.tree_path(tree, src, y)
                 queue.append(y)
-        return None, queue
+        return None
 
     def bounded_bfs(self, src, target, limit, scanned=None):
         """Forward breadth-first search from src that scans at most limit

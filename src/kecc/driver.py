@@ -9,7 +9,7 @@ import math
 
 from .digraph import GraphError
 from .decompose import decompose_kecc
-from .flow import CertifiedSink, flow_state, lambda_bounded
+from .flow import flow_state, lambda_bounded
 from .local_search import EMPTY, MSetResult, amplified_mset, local_search_mset
 from .partitions import (Partition, good_partition_deficient,
                          good_partition_full, good_partition_low,
@@ -25,27 +25,23 @@ def sample_count(n_ord, delta, mode):
 
 
 def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng,
-                      lam_cache, sink):
+                      lam_cache, sinks):
     """Small-pass search for the minimal (k+1)-out set of one vertex.
 
-    sink holds s and the vertices of this pass already found at
-    lambda(u, s) >= k+2.  By the lemma in the flow module, a capped flow
-    into them gives min(lambda(v, s), k+2) exactly: when it reaches k+2, no
-    (k+1)-out separator exists, Empty is certain, and v joins the sink.
-    Otherwise all modes classify lambda(v, s) again with a capped flow to s
-    alone.  Exact mode reads the answer off that flow's residual instead of
+    sinks marks s and the vertices of this pass already found at
+    lambda(u, s) >= k+2.  By the lemma in the flow module, one flow capped
+    at k+2 into them gives min(lambda(v, s), k+2) exactly: when it reaches
+    k+2, no (k+1)-out separator exists, Empty is certain, and v joins the
+    sinks.  Exact mode reads the answer off that flow's residual instead of
     searching: at lambda exactly k+1 the residual reach of v is the set.
     """
-    if sink.flow(v)[0] == k + 2:
-        lam_cache[v] = k + 2
-        return EMPTY
     if mode == "exact":
-        fs = flow_state(h, v, s, cap=k + 2)
+        fs = flow_state(h, v, s, k + 2, sinks)
         lam_cache[v] = fs.value
         if fs.value != k + 1:
             return EMPTY
         return MSetResult(fs.minimal_side())
-    lam = lambda_bounded(h, v, s, k + 2)
+    lam = lambda_bounded(h, v, s, k + 2, sinks)
     lam_cache[v] = lam
     if lam >= k + 2:
         return EMPTY
@@ -65,12 +61,13 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
     fail_prob = delta / (4 * n_ord)  # per-vertex budget for amplification
     lam_cache = {}
     results = {}
-    sink = CertifiedSink(h, s, k + 2)
+    sinks = bytearray(h.n_slots())
+    sinks[s] = 1
     for v in ordinary:
         if v == s:
             continue
         results[v] = _small_set_result(h, v, s, k, mode, search_delta,
-                                       fail_prob, rng, lam_cache, sink)
+                                       fail_prob, rng, lam_cache, sinks)
     parts = [partition_from_msets(results, universe, ordinary)]
     if mode != "exact" and m > 0:
         draws = sample_count(n_ord, delta, mode)
@@ -87,7 +84,7 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
             seen.add(v)
             lam = lam_cache.get(v)
             if lam is None:
-                lam = lambda_bounded(h, v, s, k + 2)
+                lam = lambda_bounded(h, v, s, k + 2, sinks)
             if lam == k + 1:
                 parts.append(good_partition_full(h, v, s, k))
             elif lam == k:

@@ -15,12 +15,15 @@ at the vertices already certified: if lambda(u, s) >= c for every u in a
 set C, then min(lambda(v, s), c) = min(lambda(v, C | {s}), c), and below c
 the minimal min-cut sides of (v, s) and (v, C | {s}) are the same set,
 because a v-s cut X of value < c avoids C (any u in X would give
-d+(X) >= lambda(u, s) >= c).  CertifiedSink runs these flows.  Each takes
-its one-edge paths into the sinks before any search, which is exact
-because any set of edge-disjoint paths extends to a maximum flow.
+d+(X) >= lambda(u, s) >= c).  flow_state runs such a flow when it is given
+sinks, a bytearray marking s and C, and marks v when the flow reaches c.
+It takes the one-edge paths into the sinks before any search, which is
+exact because any set of edge-disjoint paths extends to a maximum flow.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .digraph import GraphError, ReversalOverlay
 from .partitions import Partition
@@ -68,94 +71,57 @@ class FlowState:
         return PQGraph(universe, succ, self.source, self.sink)
 
 
-def flow_state(g, src, dst, cap=None):
-    """Run augmenting-path max-flow from src to dst, up to cap units."""
+def flow_state(g, src, dst, cap=None, sinks=None):
+    """Run augmenting-path max-flow from src to dst, up to cap units.
+
+    With sinks, a caller-owned bytearray over vertex slots that marks dst
+    and vertices certified at lambda(u, dst) >= cap, the flow runs into all
+    marked vertices (the lemma in the module docstring) and marks src when
+    it reaches cap; its value and, below cap, minimal_side are those of the
+    flow to dst alone, while latest_side and pq are not.
+    """
     if src == dst:
         raise GraphError("source and sink must differ")
     if not (g.is_live(src) and g.is_live(dst)):
         raise GraphError("source and sink must be live")
-    ov = ReversalOverlay(g)
-    value = 0
-    while cap is None or value < cap:
-        path = ov.augmenting_path(src, dst)
-        if path is None:
-            break
-        ov.reverse_trusted(path)
-        value += 1
-    return FlowState(ov, value, src, dst)
-
-
-def lambda_bounded(g, u, v, cap):
-    """min(lambda(u, v), cap) using at most cap augmentations."""
-    if cap < 1:
+    if cap is not None and cap < 1:
         raise GraphError("cap must be >= 1")
-    return flow_state(g, u, v, cap).value
-
-
-class CertifiedSink:
-    """Capped flows from single vertices into s and the vertices certified
-    so far to have lambda(u, s) >= cap (the lemma in the module docstring).
-
-    A vertex whose flow reaches the cap is certified, so the flows of later
-    vertices stop at the first certified vertex they reach instead of going
-    on to s; on a graph where most vertices are well connected to s, a flow
-    costs the edges around its source.  Edges from v straight into a sink
-    are taken as paths first, from one scan of v's out-list, and a vertex
-    with cap of them is certified without a search; this is exact because
-    any edge-disjoint paths extend to a maximum flow.  One overlay serves
-    every flow and is rewound after each.
-    """
-
-    __slots__ = ("overlay", "marked", "cap")
-
-    def __init__(self, g, s, cap):
-        if not g.is_live(s):
-            raise GraphError("sink must be live")
-        if cap < 1:
-            raise GraphError("cap must be >= 1")
-        self.overlay = ReversalOverlay(g)
-        self.marked = bytearray(g.n_slots())
-        self.marked[s] = 1
-        self.cap = cap
-
-    def certify(self, u):
-        """Add u, known to have lambda(u, s) >= cap, to the sinks."""
-        self.marked[u] = 1
-
-    def flow(self, v):
-        """(min(lambda(v, s), cap), side): side lists v's minimal min-cut
-        side when the value is below the cap, as a set given in no
-        particular order, and is None (and v certified) when it reaches the
-        cap."""
-        ov = self.overlay
-        g = ov.g
-        marked = self.marked
-        cap = self.cap
-        if not g.is_live(v) or marked[v]:
-            raise GraphError(f"vertex {v} is not a live uncertified vertex")
-        # the one-edge paths first, from one scan of v's out-list: the
-        # overlay is rewound between flows, so the list is the residual one
-        direct = []
-        for e in g.out_edges(v):
-            if marked[g.e_head[e]]:
-                direct.append(e)
-                if len(direct) == cap:
-                    marked[v] = 1
-                    return cap, None
-        start = ov.mark()
-        ov.reverse_trusted(direct)
-        value = len(direct)
-        side = None
-        while value < cap:
-            path, side = ov.path_into(v, marked)
+    ov = ReversalOverlay(g)
+    if sinks is None:
+        value = 0
+        while cap is None or value < cap:
+            path = ov.augmenting_path(src, dst)
             if path is None:
                 break
             ov.reverse_trusted(path)
             value += 1
-        ov.rewind(start)
-        if side is None:
-            marked[v] = 1
-        return value, side
+        return FlowState(ov, value, src, dst)
+    if cap is None:
+        raise GraphError("a flow into sinks needs a cap")
+    if not sinks[dst]:
+        raise GraphError("sinks must mark the sink")
+    if sinks[src]:
+        raise GraphError(f"source {src} is already marked in sinks")
+    # the one-edge paths first, from one scan of src's out-list
+    direct = list(islice((e for e in g.out_edges(src) if sinks[g.e_head[e]]),
+                         cap))
+    ov.reverse_trusted(direct)
+    value = len(direct)
+    while value < cap:
+        path = ov.path_into(src, sinks)
+        if path is None:
+            break
+        ov.reverse_trusted(path)
+        value += 1
+    if value == cap:
+        sinks[src] = 1
+    return FlowState(ov, value, src, dst)
+
+
+def lambda_bounded(g, u, v, cap, sinks=None):
+    """min(lambda(u, v), cap) using at most cap augmentations, into sinks
+    as flow_state takes them."""
+    return flow_state(g, u, v, cap, sinks).value
 
 
 def minimal_mincut_side(g, v, s):

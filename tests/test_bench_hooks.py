@@ -31,3 +31,14 @@ def test_traced_call_matches_untraced():
     assert got == want
     assert trace.spans[tracer.ROOT][0] == 1
     assert trace.spans["flow.lambda_bounded.gate"][0] > 0
+
+
+def test_traced_exact_call_fires_flow_state_and_not_the_gate():
+    # rk-exact's must_fire and must_not_fire: the small-set pass reads every
+    # vertex off one flow_state call and exact mode runs no gate
+    g = gen_random_kec(40, 2, 200, 0)
+    trace = tracer.Trace()
+    got = trace.call(compute_k2ecc, g, 2, 0.25, "exact")
+    assert got == compute_k2ecc(g, 2, 0.25, "exact")
+    assert trace.spans["flow.flow_state"][0] > 0
+    assert trace.spans["flow.lambda_bounded.gate"][0] == 0

@@ -12,7 +12,7 @@ from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
                             verify_decomposition)
 from kecc.digraph import (AUX_KOUT, GraphError, from_arcs, materialize, out_of,
                           vol_of)
-from kecc.flow import CertifiedSink, lambda_bounded, minimal_mincut_side
+from kecc.flow import lambda_bounded, minimal_mincut_side
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
 from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import enumerate_separators, mutually_connected
@@ -120,34 +120,31 @@ def test_proper_order_matches_whole_graph_flows(case):
 
 def recorded_flow_graphs(monkeypatch):
     """The list that receives the graph of each flow that proper_order makes
-    from now on: certified flows on the whole graph and on side graphs."""
+    from now on, on the whole graph and on side graphs, directly or through
+    the flow module's helpers; every one of them must run into certified
+    sinks."""
     graphs = []
+    flow_state = kecc.flow.flow_state
 
-    class Recorded(CertifiedSink):
-        __slots__ = ()
+    def recorded(g, src, dst, cap=None, sinks=None):
+        assert sinks is not None
+        graphs.append(g)
+        return flow_state(g, src, dst, cap, sinks)
 
-        def flow(self, v):
-            graphs.append(self.overlay.g)
-            return super().flow(v)
-
-    monkeypatch.setattr(dc, "CertifiedSink", Recorded)
+    monkeypatch.setattr(dc, "flow_state", recorded)
+    monkeypatch.setattr(kecc.flow, "flow_state", recorded)
     return graphs
 
 
 def test_proper_order_flows_follow_blocks(monkeypatch):
     # one whole-graph flow per block of 6, not one per vertex (179 before)
-    # and one certified flow per side-graph vertex, which reads both lambda
-    # and the minimal side: no flow_state call at all (290 before)
+    # and one flow into certified sinks per side-graph vertex, which reads
+    # both lambda and the minimal side
     g = gen_chain(30, 6, 1)
     graphs = recorded_flow_graphs(monkeypatch)
-    plain = []
-    flow_state = kecc.flow.flow_state
-    monkeypatch.setattr(kecc.flow, "flow_state",
-                        lambda *args: plain.append(args) or flow_state(*args))
     proper_order(g, 0, 2)
     assert len(graphs) == 179
     assert sum(h is g for h in graphs) <= 34
-    assert not plain
 
 
 def test_proper_order_side_graph_keeps_precondition(monkeypatch):

@@ -290,3 +290,27 @@ def test_default_root_is_best_connected_ordinary(monkeypatch, mode, aux, s,
     g = _root_fixture(aux)
     compute_partition_single(g, 1, 0.2, mode, random.Random(0), s=s)
     assert sinks and set(sinks) == {want}
+
+
+@pytest.mark.parametrize("mode,kernel,other", [
+    ("exact", "flow_state", "lambda_bounded"),
+    ("det", "lambda_bounded", "flow_state")])
+def test_one_flow_per_small_set_vertex(monkeypatch, mode, kernel, other):
+    # each direction's small-set pass runs one flow into certified sinks per
+    # vertex other than the root, and reads both lambda and, in exact mode,
+    # the set off it; with no auxiliary vertex the sampling pass finds
+    # every tail's lambda cached
+    calls = {kernel: [], other: []}
+    for name, seen in calls.items():
+        fn = getattr(drv, name)
+        monkeypatch.setattr(
+            drv, name,
+            lambda *args, fn=fn, seen=seen: seen.append(args) or fn(*args))
+    h = gen_random_kec(30, 3, 60, 1)
+    for g in (h, h.reversed()):  # some vertices are certified, some not
+        assert {lambda_bounded(g, v, 19, 4) for v in range(30)
+                if v != 19} == {3, 4}
+    compute_partition_single(h, 2, 0.2, mode, random.Random(0), s=19)
+    assert len(calls[kernel]) == 2 * (h.n_live - 1)
+    assert not calls[other]
+    assert all(len(args) == 5 for args in calls[kernel])

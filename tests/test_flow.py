@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kecc.digraph import Digraph, GraphError, ReversalOverlay, contract, out_of
-from kecc.flow import (CertifiedSink, flow_state, lambda_bounded,
-                       latest_mincut, minimal_mincut_side, pq_graph)
+from kecc.flow import (flow_state, lambda_bounded, latest_mincut,
+                       minimal_mincut_side, pq_graph)
 from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
 from kecc.oracle import (enumerate_separators, lambda_oracle, latest_oracle,
                          mset_oracle)
@@ -235,17 +235,40 @@ def test_flow_argument_validation():
         lambda_bounded(g, 0, 1, 0)
 
 
+def test_flow_state_rejects_cap_below_one():
+    # a flow capped at 0 has no maximum flow to read sides off: its
+    # "minimal side" would contain the sink
+    g = gen_cyc(3, 1)
+    for cap in (0, -1):
+        with pytest.raises(GraphError, match="cap must be >= 1"):
+            flow_state(g, 0, 1, cap=cap)
+    assert flow_state(g, 0, 1, cap=1).value == 1
+
+
+def sinks_of(g, *marked):
+    sinks = bytearray(g.n_slots())
+    for v in marked:
+        sinks[v] = 1
+    return sinks
+
+
 def test_certified_sink_argument_validation():
     g = gen_cyc(3, 1)
-    with pytest.raises(GraphError, match="sink must be live"):
-        CertifiedSink(g, 7, 2)
-    with pytest.raises(GraphError, match="cap"):
-        CertifiedSink(g, 0, 0)
-    sink = CertifiedSink(g, 0, 1)
-    assert sink.flow(1) == (1, None)
-    for v in (0, 1, 7):  # the sink, a certified vertex, a dead id
-        with pytest.raises(GraphError, match="uncertified"):
-            sink.flow(v)
+    with pytest.raises(GraphError, match="live"):
+        flow_state(g, 1, 7, 2, sinks_of(g, 0))
+    with pytest.raises(GraphError, match="needs a cap"):
+        flow_state(g, 1, 0, None, sinks_of(g, 0))
+    with pytest.raises(GraphError, match="cap must be >= 1"):
+        flow_state(g, 1, 0, 0, sinks_of(g, 0))
+    with pytest.raises(GraphError, match="mark the sink"):
+        flow_state(g, 1, 0, 1, sinks_of(g, 2))
+    sinks = sinks_of(g, 0)
+    assert flow_state(g, 1, 0, 1, sinks).value == 1
+    assert sinks == sinks_of(g, 0, 1)
+    with pytest.raises(GraphError, match="already marked"):
+        flow_state(g, 1, 0, 1, sinks)
+    with pytest.raises(GraphError, match="differ"):
+        flow_state(g, 0, 0, 1, sinks)
 
 
 @st.composite
@@ -276,20 +299,19 @@ def certified_passes(draw):
 @given(certified_passes())
 def test_certified_flows_match_flows_to_the_root(case):
     # flows into the root and the vertices certified before them give
-    # min(lambda(v, s), c) and, below c, v's minimal min-cut side; each
-    # flow leaves the shared overlay exactly rewound
+    # min(lambda(v, s), c) and, below c, v's minimal min-cut side; sinks
+    # gains exactly the sources whose flow reached c
     g, s, cap, order = case
-    sink = CertifiedSink(g, s, cap)
-    ov = sink.overlay
+    sinks = sinks_of(g, s)
+    certified = {s}
     for v in order:
-        value, side = sink.flow(v)
-        assert value == lambda_bounded(g, v, s, cap)
-        if value < cap:
-            assert frozenset(side) == minimal_mincut_side(g, v, s)
-            assert len(side) == len(set(side))
+        fs = flow_state(g, v, s, cap, sinks)
+        assert fs.value == lambda_bounded(g, v, s, cap)
+        if fs.value < cap:
+            assert fs.minimal_side() == minimal_mincut_side(g, v, s)
         else:
-            assert side is None
-        assert ov.journal == [] and not any(ov.flip) and ov.dirty == {}
+            certified.add(v)
+        assert sinks == sinks_of(g, *certified)
 
 
 def test_certified_flow_searches_only_past_one_edge_paths(monkeypatch):
@@ -306,20 +328,17 @@ def test_certified_flow_searches_only_past_one_edge_paths(monkeypatch):
     monkeypatch.setattr(ReversalOverlay, "path_into", counted)
     g = gen_kn(5)
     g.add_edge(2, 0)  # 2 has three edges into {0, 1}
-    sink = CertifiedSink(g, 0, 3)
-    sink.certify(1)
-    assert sink.flow(2) == (3, None)
-    assert searches[0] == 0
-    with pytest.raises(GraphError, match="uncertified"):
-        sink.flow(2)  # certified
+    sinks = sinks_of(g, 0, 1)
+    assert lambda_bounded(g, 2, 0, 3, sinks) == 3
+    assert searches[0] == 0 and sinks[2]
     for seed in range(6):
         g = gen_random_kec(30, 2, 60, seed)
         for cap in (2, 3, 4):
-            sink = CertifiedSink(g, 0, cap)
+            sinks = sinks_of(g, 0)
             for v in range(1, 30):
-                d = sum(1 for _e, y in g.succ(v) if sink.marked[y])
+                d = sum(1 for _e, y in g.succ(v) if sinks[y])
                 searches[0] = 0
-                value, _side = sink.flow(v)
+                value = lambda_bounded(g, v, 0, cap, sinks)
                 if d >= cap:
                     assert searches[0] == 0 and value == cap
                 else:
