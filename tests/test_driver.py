@@ -17,8 +17,7 @@ from kecc.gen import (gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec,
                       sub_rng)
 from kecc.oracle import (BOTTOM, ecc_components, mset_oracle,
                          mutually_connected, verify_partition)
-from kecc.partitions import (good_partition_deficient, good_partition_full,
-                             partition_from_msets)
+from kecc.partitions import good_partition, partition_from_msets
 from kecc.local_search import local_search_mset
 
 from conftest import planted_deficient
@@ -112,6 +111,36 @@ def test_4ecc_prepared_planted(rng):
     assert report.ok
 
 
+@pytest.mark.parametrize("mode", ["det", "rand", "exact"])
+def test_lambda_below_k_raises_in_every_mode(mode):
+    # exact mode runs no sampling pass; the small-set pass's lambdas are
+    # checked as well
+    with pytest.raises(GraphError, match="below k"):
+        compute_partition_single(gen_cyc(6, 1), 2, 0.2, mode,
+                                 random.Random(0))
+
+
+def _low_fixture():
+    """K5 on the ordinary vertices 0..4 plus an auxiliary vertex 5 with one
+    arc out, to 0, and three in: lambda(5, s) = 1 for every s != 5."""
+    g = gen_kn(5)
+    x = g.add_vertex(AUX_OTHER)
+    g.add_edge(x, 0)
+    for u in (1, 2, 3):
+        g.add_edge(u, x)
+    return g
+
+
+def test_4ecc_prepared_accepts_lambda_one():
+    # the same seed draws the same tails in both calls, and at this seed
+    # the sampling pass draws the auxiliary vertex, which only low accepts
+    g = _low_fixture()
+    part = compute_4ecc_prepared(g, 0.2, "rand", random.Random(1))
+    assert part.restrict(range(5)).n_blocks == 1
+    with pytest.raises(GraphError, match="lambda\\(5,0\\)=1 below k"):
+        compute_partition_single(g, 2, 0.2, "rand", random.Random(1))
+
+
 def test_sampling_pass_dispatch_counts(rng):
     stats = {}
     g = gen_blocks(6, 6, 2)
@@ -144,11 +173,8 @@ def test_separation_attribution(rng):
         for u in h.vertices():
             if u == s:
                 continue
-            lam = lambda_bounded(h, u, s, k + 2)
-            if lam == k + 1:
-                sources.append(good_partition_full(h, u, s, k))
-            elif lam == k:
-                sources.append(good_partition_deficient(h, u, s, k))
+            if k <= lambda_bounded(h, u, s, k + 2) <= k + 1:
+                sources.append(good_partition(h, u, s, k + 2))
     ordinary = g.ordinary_vertices()
     for i, a in enumerate(ordinary):
         for b in ordinary[i + 1:]:

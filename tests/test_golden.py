@@ -14,7 +14,7 @@ import random
 import pytest
 
 from kecc import (compute_4ecc_prepared, compute_k2ecc, decompose_kecc,
-                  gen_chain, gen_random_kec, good_k3_partition, lambda_bounded)
+                  gen_chain, gen_random_kec, good_partition, lambda_bounded)
 from kecc.digraph import Digraph, ReversalOverlay, contract, materialize
 from kecc.oracle import ecc_components, mutually_connected
 
@@ -41,7 +41,8 @@ PIECES_ROWS_DIGEST = "a052af8d92d4061f2079299a077fdd4df6066004c6319757f985d26f3f
 
 # compute_4ecc_prepared(piece.graph, 0.25, "rand", rng) over the pieces of
 # decompose_kecc(g, 2, 0.25, "rand", Random(0)), one rng = Random(1) shared
-# by all pieces; these reach good_partition_low 59 and 5 times
+# by all pieces; these reach good_partition at lambda(v, s) < 2 59 and 5
+# times
 LOW_GRAPHS = {"chain": lambda: gen_chain(30, 6, 1),
               "rk": lambda: gen_random_kec(120, 2, 600, 0)}
 LOW_DIGESTS = {
@@ -49,8 +50,9 @@ LOW_DIGESTS = {
     "rk": "caa6eeed62a2c061148c4200428e3f70c2bf915f962de9b94ebd426b064a7464",
 }
 
-# good_k3_partition over k3_cases(); on the cases listed in K3_NOT_PINNED an
-# earlier version raised GraphError, so only the others are pinned
+# good_partition(g, v, s, k + 3) over k3_cases(), the (k+3) refinement; on
+# the cases listed in K3_NOT_PINNED an earlier version raised GraphError, so
+# only the others are pinned
 K3_DIGEST = "f9bc75791f04844923c4847ea9493c8ef520612712becac316990ebf0409435c"
 K3_NOT_PINNED = (25, 66, 147, 152, 229, 252, 266, 272, 279, 283, 285, 291,
                  303, 310, 325, 341, 344, 387, 398, 438, 482, 483, 509, 571)
@@ -212,21 +214,21 @@ def test_adjacency_order_byte_stable():
     assert _digest(adjacency_rows()) == ADJACENCY_ORDER_DIGEST
 
 
-def test_good_k3_partition_byte_stable():
+def test_good_partition_k3_byte_stable():
     rows = []
     for i, (g, v, s, k) in enumerate(k3_cases()):
         if i not in K3_NOT_PINNED:
-            part = good_k3_partition(g, v, s, k)
+            part = good_partition(g, v, s, k + 3)
             rows.append([i, [part.label[u] for u in part.universe]])
     assert _digest(rows) == K3_DIGEST
 
 
-def test_good_k3_partition_unpinned_cases_split_no_connected_pair():
+def test_good_partition_k3_unpinned_cases_split_no_connected_pair():
     cases = k3_cases()
     checked = 0
     for i in K3_NOT_PINNED:
         g, v, s, k = cases[i]
-        part = good_k3_partition(g, v, s, k)
+        part = good_partition(g, v, s, k + 3)
         verts = sorted(g.vertices())
         for j, a in enumerate(verts):
             for b in verts[j + 1:]:

@@ -166,6 +166,26 @@ def test_cli_components_verify_oracle(tmp_path, capsys):
     assert main(["verify", str(got), str(truth)]) == 1
 
 
+@pytest.mark.parametrize("damage,cause", [
+    (lambda doc: [doc], "must be a JSON object, got list"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "ordinary"},
+     "'ordinary' must be a list of vertex ids"),
+    (lambda doc: {**doc, "blocks": [b for b in doc["blocks"] if 2 not in b]},
+     "ordinary vertex 2 is in no block")])
+def test_cli_verify_rejects_malformed_partition(tmp_path, capsys, damage,
+                                               cause):
+    g = gen_blocks(3, 3, 2)
+    text = partition_to_json(ecc_components(g, 4), g.ordinary_vertices())
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    good.write_text(text)
+    bad.write_text(json.dumps(damage(json.loads(text))))
+    for argv in ([str(bad), str(good)], [str(good), str(bad)]):
+        assert main(["verify"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cause in err, err
+
+
 def test_cli_decompose_and_errors(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "g.gr"
     main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",

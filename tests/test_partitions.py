@@ -3,19 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kecc.flow
 import kecc.partitions
 from kecc.digraph import Digraph, GraphError, contract
-from kecc.flow import lambda_bounded
+from kecc.flow import lambda_bounded, pq_graph
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn
 from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import (BOTTOM, ecc_components, latest_oracle, mset_oracle,
                          mutually_connected)
-from kecc.partitions import (Partition, ecc_naive, good_k3_partition,
-                             good_partition_deficient, good_partition_full,
-                             good_partition_low, partition_from_msets,
-                             pull_back, refine, refine_many)
+from kecc.partitions import (Partition, ecc_naive, good_partition,
+                             partition_from_msets, pull_back, refine,
+                             refine_many)
 
 from conftest import (one_block, planted_deficient, random_strongly_connected,
                       singletons)
@@ -105,47 +106,95 @@ def test_ecc_naive_fixtures(rng):
         [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
 
 
-def test_ecc_naive_matches_oracle(rng):
-    for _ in range(15):
-        g = random_strongly_connected(rng, rng.randrange(3, 8),
-                                      rng.randrange(0, 12))
-        c = rng.randrange(1, 4)
-        assert ecc_naive(g, c) == ecc_components(g, c)
+@st.composite
+def multigraphs(draw):
+    """Multigraphs on up to 12 vertices, strongly connected or not: a cycle
+    through a drawn prefix of the vertices plus drawn arcs of multiplicity
+    up to 3, some of them doubled in both directions."""
+    n = draw(st.integers(1, 12))
+    g = Digraph()
+    g.add_vertices(n)
+    ring = draw(st.integers(0, n))
+    if ring >= 2:
+        for i in range(ring):
+            g.add_edge(i, (i + 1) % ring)
+    vertex = st.integers(0, n - 1)
+    for u, v, copies, both in draw(st.lists(
+            st.tuples(vertex, vertex, st.integers(1, 3), st.booleans()),
+            max_size=3 * n)):
+        if u != v:
+            g.add_edge(u, v, copies=copies)
+            if both:
+                g.add_edge(v, u, copies=copies)
+    return g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(multigraphs(), st.integers(1, 3))
+def test_ecc_naive_matches_oracle(g, c):
+    assert ecc_naive(g, c) == ecc_components(g, c)
+
+
+def test_ecc_naive_runs_every_flow_into_sinks(monkeypatch):
+    seen = []
+    real = kecc.flow.flow_state
+
+    def recording(g, src, dst, cap=None, sinks=None):
+        seen.append(sinks)
+        return real(g, src, dst, cap, sinks)
+
+    # lambda_bounded looks flow_state up here as well
+    monkeypatch.setattr(kecc.flow, "flow_state", recording)
+    g = gen_chain(3, 4, 2)
+    assert ecc_naive(g, 3) == ecc_components(g, 3)
+    assert seen and all(sinks is not None for sinks in seen)
 
 
 def test_good_partition_full_cycle_singletons():
     g = gen_cyc(4, 1)
-    part = good_partition_full(g, 1, 0, 0)
+    part = good_partition(g, 1, 0, 2)
     assert part.n_blocks == 4
 
 
 def test_good_partition_full_k4():
     g = gen_kn(4)
-    part = good_partition_full(g, 1, 0, 2)
+    part = good_partition(g, 1, 0, 4)
     assert blocks_of(part) == [(0,), (1,), (2, 3)]
 
 
-def test_good_partition_full_wrong_lambda():
-    with pytest.raises(GraphError):
-        good_partition_full(gen_kn(4), 1, 0, 1)  # lambda is 3, not 2
+def _one_arc():
+    g = Digraph()
+    g.add_vertices(2)
+    g.add_edge(0, 1)
+    return g
+
+
+@pytest.mark.parametrize("make,t,match", [
+    (lambda: gen_kn(4), 3, "below t=3"),  # lambda is 3
+    (lambda: gen_kn(5), 4, "below t=4"),  # lambda is 4
+    (_one_arc, 2, "not strongly connected")],  # lambda(1, 0) is 0
+    ids=["kn4-t3", "kn5-t4", "lambda0"])
+def test_good_partition_rejects_lambda_out_of_range(make, t, match):
+    with pytest.raises(GraphError, match=match):
+        good_partition(make(), 1, 0, t)
 
 
 def test_good_partition_deficient_blocks():
     g = gen_blocks(5, 5, 2)
-    part = good_partition_deficient(g, 6, 1, 2)
+    part = good_partition(g, 6, 1, 4)
     assert blocks_of(part) == [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
 
 
 def test_good_partition_deficient_head_is_root():
     # cut edge heading straight into the root is skipped
     g = gen_cyc(4, 1)
-    part = good_partition_deficient(g, 1, 0, 1)
+    part = good_partition(g, 1, 0, 3)
     assert blocks_of(part) == [(0,), (1, 2, 3)]
 
 
 def test_good_partition_deficient_planted_contract():
     g, v, s = planted_deficient()
-    part = good_partition_deficient(g, v, s, 2)
+    part = good_partition(g, v, s, 4)
     cluster = set(range(5, 10))
     for u in cluster:
         for w in range(5):
@@ -177,20 +226,16 @@ def test_good_partition_deficient_one_flow_per_exit_head(monkeypatch):
     # the component split runs its own pairwise flows; the oracle's runs none
     monkeypatch.setattr(kecc.flow, "flow_state", counted)
     monkeypatch.setattr(kecc.partitions, "ecc_naive", ecc_components)
-    part = good_partition_deficient(g, v, s, 2)
+    part = good_partition(g, v, s, 4)
     assert flows[0] == 1 + len(heads)
     monkeypatch.undo()
-    assert part == good_partition_deficient(g, v, s, 2)
+    assert part == good_partition(g, v, s, 4)
 
 
-def test_good_partition_low_delegates_at_two():
-    g = gen_blocks(6, 6, 2)
-    assert good_partition_low(g, 7, 1) == good_partition_deficient(g, 7, 1, 2)
-
-
-def test_good_partition_low_chain():
+def test_good_partition_chain_at_lambda_one():
+    # lambda(5, 0) = 1, three below the target t = 4
     g = gen_chain(2, 5, 1)
-    part = good_partition_low(g, 5, 0)
+    part = good_partition(g, 5, 0, 4)
     for u in range(5):
         for w in range(5, 10):
             assert not part.same_block(u, w)
@@ -202,16 +247,12 @@ def test_good_partition_low_chain():
                     assert part.same_block(a, b)
 
 
-def test_good_partition_low_rejects_high_lambda():
-    with pytest.raises(GraphError):
-        good_partition_low(gen_kn(5), 1, 0)
-
-
 def test_good_k3_top_case_is_full():
+    # at lambda = t-1 the partition is the min-cut DAG's components
     g = gen_blocks(5, 5, 4)  # out(B side) = 4 = k+2 for k=2
     assert lambda_bounded(g, 6, 1, 5) == 4
-    want = good_partition_full(g, 6, 1, 3)
-    assert good_k3_partition(g, 6, 1, 2) == want
+    want = pq_graph(g, 6, 1).partition()
+    assert good_partition(g, 6, 1, 2 + 3) == want
 
 
 def test_good_k3_three_block_chain(monkeypatch):
@@ -220,7 +261,7 @@ def test_good_k3_three_block_chain(monkeypatch):
     v = 4  # second block; lambda(v, s) = 2 = k+1 for k=1
     assert lambda_bounded(g, v, s, 4) == 2
     calls = count_contractions(monkeypatch)
-    part = good_k3_partition(g, v, s, 1)
+    part = good_partition(g, v, s, 1 + 3)
     for u in range(4, 12):
         for w in range(4):
             assert not part.same_block(u, w)
@@ -233,7 +274,7 @@ def test_good_k3_deficient_case():
     v = 4
     lam = lambda_bounded(g, v, s, 5)
     assert lam == 4 == 2 + 2
-    part = good_k3_partition(g, v, s, 2)
+    part = good_partition(g, v, s, 2 + 3)
     # maintains (k+3)=5-connected pairs: within-block pairs are 3-connected
     # only, so nothing to preserve; the construction must separate the
     # blocks reachable only through the sampled side
@@ -253,7 +294,7 @@ def test_good_k3_merged_exit_head_below_k_plus_2():
         g.add_edge(u, w)
     k = 1
     assert lambda_bounded(g, 0, 3, k + 3) == k
-    part = good_k3_partition(g, 0, 3, k)
+    part = good_partition(g, 0, 3, k + 3)
     for a in range(4):
         for b in range(a + 1, 4):
             if mutually_connected(g, a, b, k + 3):
@@ -272,26 +313,22 @@ def test_good_k3_subgraph_budget(rng, monkeypatch):
         if not k <= lam <= k + 2:
             continue
         calls[0] = 0
-        good_k3_partition(g, v, s, k)
+        good_partition(g, v, s, k + 3)
         assert calls[0] <= 2 * (k + 2) ** 2
         done += 1
 
 
 def test_good_partitions_never_split_connected_pairs(rng):
-    # contract (a) across all three constructions on random graphs
+    # contract (a) at lambda(v, s) in {k, k+1} on random graphs
     done = 0
     while done < 40:
         g = random_strongly_connected(rng, rng.randrange(4, 8),
                                       rng.randrange(2, 12))
         v, s = rng.sample(range(g.n_live), 2)
         k = rng.randrange(1, 3)
-        lam = lambda_bounded(g, v, s, k + 2)
-        if lam == k + 1:
-            part = good_partition_full(g, v, s, k)
-        elif lam == k:
-            part = good_partition_deficient(g, v, s, k)
-        else:
+        if not k <= lambda_bounded(g, v, s, k + 2) <= k + 1:
             continue
+        part = good_partition(g, v, s, k + 2)
         verts = sorted(g.vertices())
         for i, a in enumerate(verts):
             for b in verts[i + 1:]:
@@ -311,7 +348,7 @@ def test_good_partition_full_separation_contract(rng):
         k = rng.randrange(1, 3)
         if lambda_bounded(g, v, s, k + 2) != k + 1:
             continue
-        part = good_partition_full(g, v, s, k)
+        part = good_partition(g, v, s, k + 2)
         for u in g.vertices():
             if u == s or lambda_bounded(g, u, s, k + 2) != k + 1:
                 continue
