@@ -210,6 +210,12 @@ def test_4ecc_prepared_rk_pin_splits_no_connected_pair():
         assert_splits_no_connected_pair(h, part, 4)
 
 
+def test_4ecc_prepared_chain_pin_splits_no_connected_pair():
+    parts, _ = low_run(LOW_GRAPHS["chain"]())
+    for h, part in parts:
+        assert_splits_no_connected_pair(h, part, 4)
+
+
 def test_adjacency_order_byte_stable():
     assert _digest(adjacency_rows()) == ADJACENCY_ORDER_DIGEST
 
