@@ -227,6 +227,8 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
     check_mode(mode, rng, ("det", "rand"), drawing=("rand",))
     check_delta(delta)
     live = g.vertices()
+    if not live:
+        raise GraphError("graph has no live vertex")
     if s is None:
         s = min(live)
     elif not g.is_live(s):

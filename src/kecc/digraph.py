@@ -8,9 +8,9 @@ a fresh graph, and an in-place form that drops the set's internal edges,
 rewrites the endpoints of the merged vertices' edges to the representative
 and appends their lists to its lists, in time linear in the set's volume.
 
-Whole-graph copies (reversed, materialize, contract,
-contract_complement_reduced, from_arcs) each build two edge lists and hand
-them to one bulk builder, _build.  Its result is identical to the graph that
+Whole-graph copies (materialize, contract, contract_complement_reduced,
+from_arcs) each build two edge lists and hand them to one bulk builder,
+_build; reversed is a view that shares its graph's arrays.  Its result is identical to the graph that
 sequential add_vertex and add_edge calls would build: the same edge ids, the
 same list order, the same arrays and counters, and add_edge's error for bad
 input.
@@ -166,17 +166,25 @@ class Digraph:
         return g
 
     def reversed(self):
-        """A new graph with every edge flipped; k-out/k-in vertex kinds swap."""
+        """The graph with every edge flipped and k-out/k-in vertex kinds
+        swapped, as an O(n) view: it has its own kind list and shares every
+        other array with this graph, edge ids included, with the roles of
+        tails and heads and of out- and in-lists exchanged.
+
+        Both graphs stay frozen while either is read; copy() the view
+        before changing it.  On a graph whose edge ids run in tail order
+        with ascending edge lists, as every output of materialize and
+        contract_complement_reduced, the view equals a rebuild of the
+        reverse array for array.
+        """
         swap = {AUX_KOUT: AUX_KIN, AUX_KIN: AUX_KOUT}
-        e_head = self.e_head
-        tails = []
-        heads = []
-        for v in self.vertices():
-            ids = self.out[v]
-            tails += map(e_head.__getitem__, ids)
-            heads += [v] * len(ids)
-        return _build([swap.get(x, x) for x in self.kind], self.v_alive[:],
-                      tails, heads)
+        r = Digraph()
+        r.kind = [swap.get(x, x) for x in self.kind]
+        r.v_alive, r.e_alive = self.v_alive, self.e_alive
+        r.e_tail, r.e_head = self.e_head, self.e_tail
+        r.out, r.inn = self.inn, self.out
+        r.n_live, r.m_live = self.n_live, self.m_live
+        return r
 
     def contract_lazy(self, members, rep, kind=AUX_KOUT):
         """Contract a vertex set in place: drop its internal edges, then

@@ -33,7 +33,8 @@ class FlowState:
     """A (source, sink)-flow held as path reversals on a private overlay.
 
     value equals the number of augmenting paths reversed, and the overlay
-    journal holds exactly the edges of those paths.
+    journal holds exactly the edges of those paths; a flow into sinks that
+    its one-edge paths alone take to its cap has no overlay (None).
     """
 
     __slots__ = ("overlay", "value", "source", "sink")
@@ -78,7 +79,8 @@ def flow_state(g, src, dst, cap=None, sinks=None):
     and vertices certified at lambda(u, dst) >= cap, the flow runs into all
     marked vertices (the lemma in the module docstring) and marks src when
     it reaches cap; its value and, below cap, minimal_side are those of the
-    flow to dst alone, while latest_side and pq are not.
+    flow to dst alone, while latest_side and pq are not.  When the one-edge
+    paths into marked vertices reach cap, no overlay is built at all.
     """
     if src == dst:
         raise GraphError("source and sink must differ")
@@ -86,8 +88,8 @@ def flow_state(g, src, dst, cap=None, sinks=None):
         raise GraphError("source and sink must be live")
     if cap is not None and cap < 1:
         raise GraphError("cap must be >= 1")
-    ov = ReversalOverlay(g)
     if sinks is None:
+        ov = ReversalOverlay(g)
         value = 0
         while cap is None or value < cap:
             path = ov.augmenting_path(src, dst)
@@ -105,8 +107,12 @@ def flow_state(g, src, dst, cap=None, sinks=None):
     # the one-edge paths first, from one scan of src's out-list
     direct = list(islice((e for e in g.out_edges(src) if sinks[g.e_head[e]]),
                          cap))
-    ov.reverse_trusted(direct)
     value = len(direct)
+    if value == cap:
+        sinks[src] = 1
+        return FlowState(None, value, src, dst)
+    ov = ReversalOverlay(g)
+    ov.reverse_trusted(direct)
     while value < cap:
         path = ov.path_into(src, sinks)
         if path is None:

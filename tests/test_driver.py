@@ -1,5 +1,6 @@
 """Single-graph driver and the end-to-end component pipeline."""
 
+import copy
 import math
 import random
 
@@ -17,10 +18,10 @@ from kecc.gen import (gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec,
                       sub_rng)
 from kecc.oracle import (BOTTOM, ecc_components, mset_oracle,
                          mutually_connected, verify_partition)
-from kecc.partitions import good_partition, partition_from_msets
+from kecc.partitions import ecc_naive, good_partition, partition_from_msets
 from kecc.local_search import local_search_mset
 
-from conftest import planted_deficient
+from conftest import arrays, planted_deficient
 
 
 def test_sample_count_formula():
@@ -70,6 +71,41 @@ def test_single_requires_ordinary():
         g.kind[v] = AUX_OTHER
     with pytest.raises(GraphError):
         compute_partition_single(g, 1, 0.2, "exact")
+
+
+def test_empty_graph_is_rejected():
+    for run in (lambda g: decompose_kecc(g, 2, 0.2, "det"),
+                lambda g: compute_k2ecc(g, 2, 0.2, "exact")):
+        with pytest.raises(GraphError, match="graph has no live vertex"):
+            run(Digraph())
+
+
+def some_good_partition(g):
+    """good_partition(g, v, 0, lambda(v, 0) + 2) for the v least connected
+    to 0, which runs the recursion past its first cut."""
+    lam, v = min((lambda_bounded(g, v, 0, 9), v) for v in g.vertices()[1:])
+    return good_partition(g, v, 0, lam + 2)
+
+
+@pytest.mark.parametrize("run", [
+    lambda g: compute_k2ecc(g, 2, 0.2, "det", random.Random(1)),
+    lambda g: compute_k2ecc(g, 2, 0.2, "rand", random.Random(1)),
+    lambda g: compute_k2ecc(g, 2, 0.2, "exact"),
+    lambda g: decompose_kecc(g, 2, 0.2, "rand", random.Random(1)),
+    lambda g: compute_partition_single(g, 1, 0.2, "rand", random.Random(1)),
+    lambda g: ecc_naive(g, 3),
+    some_good_partition,
+], ids=["k2ecc-det", "k2ecc-rand", "k2ecc-exact", "decompose",
+        "partition-single", "ecc-naive", "good-partition"])
+def test_caller_graphs_are_never_mutated(run):
+    # reverses share their graph's arrays, so a write anywhere on a reverse
+    # of the input would reach the caller's graph
+    rk = gen_random_kec(40, 2, 120, 3)
+    rk.delete_edge(rk.edges()[-1])  # an extra arc: both cycles stay
+    for g in (rk, gen_chain(4, 5, 2)):
+        before = copy.deepcopy(arrays(g))
+        run(g)
+        assert arrays(g) == before
 
 
 def test_single_s_override():

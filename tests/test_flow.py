@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecc.digraph import Digraph, GraphError, ReversalOverlay, contract, out_of
+from kecc.digraph import (Digraph, GraphError, ReversalOverlay, contract,
+                          from_arcs, out_of)
 from kecc.flow import (flow_state, lambda_bounded, latest_mincut,
                        minimal_mincut_side, pq_graph)
 from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
@@ -343,6 +344,26 @@ def test_certified_flow_searches_only_past_one_edge_paths(monkeypatch):
                     assert searches[0] == 0 and value == cap
                 else:
                     assert searches[0] <= cap - d + 1
+
+
+def test_certified_flow_at_cap_builds_no_overlay(monkeypatch):
+    # a source with cap edges into marked vertices is certified before any
+    # overlay exists; with fewer it builds exactly one and searches on it
+    built = [0]
+
+    class Counted(ReversalOverlay):
+        def __init__(self, g):
+            built[0] += 1
+            super().__init__(g)
+
+    monkeypatch.setattr("kecc.flow.ReversalOverlay", Counted)
+    g = from_arcs(3, [(0, 1, 2), (0, 2, 1), (2, 1, 1), (1, 0, 3)])
+    sinks = sinks_of(g, 1)
+    assert flow_state(g, 0, 1, 2, sinks).value == 2
+    assert built[0] == 0 and sinks[0] == 1
+    sinks = sinks_of(g, 1)
+    assert flow_state(g, 0, 1, 3, sinks).value == 3
+    assert built[0] == 1 and sinks[0] == 1
 
 
 def test_flow_reads_a_fraction_of_the_graph(monkeypatch):

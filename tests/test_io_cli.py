@@ -148,6 +148,13 @@ def test_cli_rejects_k_below_one(tmp_path, capsys):
                 capsys.readouterr().err
 
 
+def test_cli_components_rejects_empty_graph(tmp_path, capsys):
+    graph = tmp_path / "empty.gr"
+    graph.write_text("p kec 0 0\n")
+    assert main(["components", str(graph), "--k", "2"]) == 1
+    assert "error: graph has no live vertex" in capsys.readouterr().err
+
+
 def test_cli_components_verify_oracle(tmp_path, capsys):
     graph = tmp_path / "g.gr"
     got = tmp_path / "got.json"
