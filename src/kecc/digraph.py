@@ -10,10 +10,10 @@ and appends their lists to its lists, in time linear in the set's volume.
 
 Whole-graph copies (materialize, contract, contract_complement_reduced,
 from_arcs) each build two edge lists and hand them to one bulk builder,
-_build; reversed is a view that shares its graph's arrays.  Its result is identical to the graph that
-sequential add_vertex and add_edge calls would build: the same edge ids, the
-same list order, the same arrays and counters, and add_edge's error for bad
-input.
+_build.  Its result is identical to the graph that sequential add_vertex
+and add_edge calls would build: the same edge ids, the same list order, the
+same arrays and counters, and add_edge's error for bad input.  reversed
+copies no edge: it is a view that shares its graph's arrays.
 """
 
 from __future__ import annotations

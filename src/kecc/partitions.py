@@ -139,9 +139,10 @@ def ecc_naive(g, c):
     Stands in for the dedicated linear-time 2/3-edge-connected-component
     algorithms.  Mutual c-connectivity is an equivalence relation, so each
     vertex is compared with one pivot per class, by a flow into the pivot on
-    g and one on its reverse, a view that copies no edge.  Both flows run into the vertices already
-    certified at >= c against the pivot, which by the lemma in the flow
-    module gives the same answers as flows into the pivot alone.
+    g and one on its reverse, a view that copies no edge.  Both flows run
+    into the vertices already certified at >= c against the pivot, which by
+    the lemma in the flow module gives the same answers as flows into the
+    pivot alone.
     """
     from .flow import lambda_bounded
     if c < 1:
