@@ -6,8 +6,8 @@ compute (k+2)-edge-connected components of k-edge-connected digraphs, all
 cross-checkable against a built-in brute-force oracle.
 """
 
-from .digraph import (AUX_KIN, AUX_KOUT, AUX_OTHER, ORDINARY, Digraph,
-                      GraphError, ReversalOverlay, contract,
+from .digraph import (AUXILIARY, ORDINARY, Digraph, GraphError,
+                      ReversalOverlay, contract,
                       contract_complement_reduced, materialize, out_of, vol_of)
 from .flow import (FlowState, PQGraph, flow_state, lambda_bounded,
                    latest_mincut, minimal_mincut_side, pq_graph)
@@ -26,7 +26,7 @@ from .estimator import KPlusTwoComponents, PreparedFourComponents
 __version__ = "0.1.0"
 
 __all__ = [
-    "AUX_KIN", "AUX_KOUT", "AUX_OTHER", "ORDINARY", "Digraph",
+    "AUXILIARY", "ORDINARY", "Digraph",
     "GraphError", "ReversalOverlay", "contract",
     "contract_complement_reduced", "materialize", "out_of", "vol_of",
     "FlowState", "PQGraph", "flow_state", "lambda_bounded", "latest_mincut",

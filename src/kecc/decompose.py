@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .digraph import (AUX_KOUT, ORDINARY, Digraph, GraphError,
+from .digraph import (ORDINARY, Digraph, GraphError,
                       contract_complement_reduced, materialize, vol_of)
 from .flow import flow_state
 # not called here; perfbench's tracer wraps both names in this module
@@ -207,7 +207,7 @@ def _phase(g, orig, s, k, m0, mode, reps, rng, materialized=False):
                 f"set found for vertex {members[0]} is not its class")
         aux = contract_complement_reduced(gev, found, k)
         out.append((aux.graph, _pull(orig, aux.vmap, aux.graph), aux.vbar))
-        gev.contract_lazy(found, min(found), kind=AUX_KOUT)
+        gev.contract_lazy(found, min(found))
     remainder, rmap = materialize(gev)
     out.append((remainder, _pull(orig, rmap, remainder), rmap[s]))
     return out

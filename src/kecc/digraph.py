@@ -3,17 +3,18 @@ and contraction.
 
 Every vertex keeps the ids of its outgoing edges in out[v] and of its
 entering edges in inn[v], in insertion order; every traversal reads them in
-that order.  Contraction comes in two flavours: an eager rebuild that returns
-a fresh graph, and an in-place form that drops the set's internal edges,
-rewrites the endpoints of the merged vertices' edges to the representative
-and appends their lists to its lists, in time linear in the set's volume.
+that order.  A vertex is ORDINARY or AUXILIARY; auxiliary vertices stand for
+contracted sets.  There is one contraction, contract_lazy, which works in
+place: it drops the set's internal edges, rewrites the endpoints of the
+merged vertices' edges to the representative and appends their lists to its
+lists, in time linear in the set's volume.  contract applies it to a copy.
 
-Whole-graph copies (materialize, contract, contract_complement_reduced,
-from_arcs) each build two edge lists and hand them to one bulk builder,
-_build.  Its result is identical to the graph that sequential add_vertex
-and add_edge calls would build: the same edge ids, the same list order, the
-same arrays and counters, and add_edge's error for bad input.  reversed
-copies no edge: it is a view that shares its graph's arrays.
+Whole-graph copies (materialize, contract_complement_reduced, from_arcs)
+each build two edge lists and hand them to one bulk builder, _build.  Its
+result is identical to the graph that sequential add_vertex and add_edge
+calls would build: the same edge ids, the same list order, the same arrays
+and counters, and add_edge's error for bad input.  reversed copies nothing:
+it is a view that shares its graph's arrays.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from itertools import chain, islice
 from operator import eq
 
 ORDINARY = 0
-AUX_KOUT = 1
-AUX_KIN = 2
-AUX_OTHER = 3
+AUXILIARY = 1
 
 # Multiplicities are expanded to parallel edges, so cap the expanded size.
 MAX_EDGES = 10_000_000
@@ -71,7 +70,7 @@ class Digraph:
         becomes auxiliary."""
         marked = set(members)
         for v in self.vertices():
-            self.kind[v] = ORDINARY if v in marked else AUX_OTHER
+            self.kind[v] = ORDINARY if v in marked else AUXILIARY
 
     def add_edge(self, tail, head, copies=1):
         if copies < 1:
@@ -166,10 +165,9 @@ class Digraph:
         return g
 
     def reversed(self):
-        """The graph with every edge flipped and k-out/k-in vertex kinds
-        swapped, as an O(n) view: it has its own kind list and shares every
-        other array with this graph, edge ids included, with the roles of
-        tails and heads and of out- and in-lists exchanged.
+        """The graph with every edge flipped, as an O(1) view: it shares
+        every array with this graph, vertex kinds and edge ids included, with
+        the roles of tails and heads and of out- and in-lists exchanged.
 
         Both graphs stay frozen while either is read; copy() the view
         before changing it.  On a graph whose edge ids run in tail order
@@ -177,23 +175,22 @@ class Digraph:
         contract_complement_reduced, the view equals a rebuild of the
         reverse array for array.
         """
-        swap = {AUX_KOUT: AUX_KIN, AUX_KIN: AUX_KOUT}
         r = Digraph()
-        r.kind = [swap.get(x, x) for x in self.kind]
-        r.v_alive, r.e_alive = self.v_alive, self.e_alive
+        r.kind, r.v_alive, r.e_alive = self.kind, self.v_alive, self.e_alive
         r.e_tail, r.e_head = self.e_head, self.e_tail
         r.out, r.inn = self.inn, self.out
         r.n_live, r.m_live = self.n_live, self.m_live
         return r
 
-    def contract_lazy(self, members, rep, kind=AUX_KOUT):
+    def contract_lazy(self, members, rep):
         """Contract a vertex set in place: drop its internal edges, then
         rewrite the other members' edges to rep and append their lists to
         rep's lists, one member after another in the order of set(members).
 
-        Runs in O(vol(members)).  rep must belong to members; it survives,
-        relabelled with the given kind, and its lists hold every edge that
-        leaves or enters the set.
+        Runs in O(vol(members)).  rep must belong to members; it survives as
+        an auxiliary vertex, and its lists hold every edge that leaves or
+        enters the set.  Edge ids do not change; the internal edges and the
+        other members become dead slots.
         """
         memb = set(members)
         if rep not in memb:
@@ -222,7 +219,7 @@ class Digraph:
                 inn[u] = []
                 self.v_alive[u] = False
                 self.n_live -= 1
-        self.kind[rep] = kind
+        self.kind[rep] = AUXILIARY
         return rep
 
 
@@ -555,36 +552,28 @@ def vol_of(g, members, overlay=None):
 
 # -- contraction ------------------------------------------------------------
 
-def contract(g, members, kind=None):
-    """Eagerly contract a vertex set into one new vertex of the given kind.
+def contract(g, members):
+    """Contract a vertex set of a copy of g into one new auxiliary vertex.
 
-    Returns (new graph, contracted vertex).  Vertex ids of survivors are
-    preserved, so partitions computed on the result pull back by identity.
+    Returns (copy, contracted vertex): the copy gets a new vertex z, and
+    contract_lazy merges the set into it.  Survivors keep their ids, so
+    partitions computed on the result pull back by identity.  The result
+    keeps g's edge ids and dead slots too; materialize it before writing it
+    to a file.
     """
     memb = set(members)
     if not memb:
         raise GraphError("cannot contract an empty set")
-    live = g.vertices()
     for u in memb:
         if not g.is_live(u):
             raise GraphError(f"vertex {u} is not live")
-    if len(memb) == len(live):
+    if len(memb) == g.n_live:
         raise GraphError("cannot contract the whole vertex set")
-    if kind is None:
-        kind = AUX_KOUT if out_of(g, memb) >= 1 else AUX_OTHER
-    v_s = len(g.kind)
-    alive = [a and v not in memb for v, a in enumerate(g.v_alive)]
-    tails = []
-    heads = []
-    for v in live:
-        for e in g.out_edges(v):
-            t, hd = g.ends(e)
-            t2 = v_s if t in memb else t
-            h2 = v_s if hd in memb else hd
-            if t2 != h2:
-                tails.append(t2)
-                heads.append(h2)
-    return _build(g.kind + [kind], alive + [True], tails, heads), v_s
+    h = g.copy()
+    z = h.add_vertex(AUXILIARY)
+    memb.add(z)
+    h.contract_lazy(memb, z)
+    return h, z
 
 
 @dataclass
@@ -598,9 +587,10 @@ class ReducedComplement:
 def contract_complement_reduced(g, members, k):
     """Build the side graph of a k-out set, contracting everything else.
 
-    The complement becomes a single k-in vertex receiving the k cut edges;
-    for each member with r entering edges from outside, min(k, r) parallel
-    edges from the contracted vertex are kept.  Touches O(vol) edges.
+    The complement becomes a single auxiliary vertex receiving the k cut
+    edges; for each member with r entering edges from outside, min(k, r)
+    parallel edges from the contracted vertex are kept.  Touches O(vol)
+    edges.
     """
     memb = set(members)
     order = sorted(memb)
@@ -624,7 +614,7 @@ def contract_complement_reduced(g, members, k):
                     break
         tails += [vbar] * rho
         heads += [vmap[u]] * rho
-    kinds = [g.kind[u] for u in order] + [AUX_KIN]
+    kinds = [g.kind[u] for u in order] + [AUXILIARY]
     h = _build(kinds, [True] * len(kinds), tails, heads)
     return ReducedComplement(h, vmap, vbar)
 

@@ -19,7 +19,7 @@ flow, so no flow is run twice.
 
 from __future__ import annotations
 
-from .digraph import AUX_KOUT, GraphError, contract
+from .digraph import GraphError, contract
 
 
 class Partition:
@@ -182,7 +182,7 @@ def _good_partition(g, s, t, fs):
         return fs.pq().partition()
     universe = tuple(sorted(g.vertices()))
     latest = fs.latest_side()
-    gz, z = contract(g, latest, kind=AUX_KOUT)
+    gz, z = contract(g, latest)
     to_gz = {u: (z if u in latest else u) for u in universe}
     cut_edges = list(gz.out_edges(z))
     parts = []
@@ -190,7 +190,7 @@ def _good_partition(g, s, t, fs):
         x = gz.head(e)
         if x == s:
             continue
-        gx, zx = contract(gz, {z, x}, kind=AUX_KOUT)
+        gx, zx = contract(gz, {z, x})
         fx = flow_state(gx, zx, s, t)
         if fx.value <= lam:
             raise GraphError("latest mincut violated: contracted connectivity "
