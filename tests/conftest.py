@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from kecc.digraph import AUX_OTHER, Digraph, GraphError
+from kecc.digraph import AUXILIARY, Digraph, GraphError
 from kecc.local_search import SearchBudget
 from kecc.partitions import Partition
 
@@ -239,7 +239,7 @@ def planted_deficient():
     """
     g = Digraph()
     g.add_vertices(10)
-    v = g.add_vertex(AUX_OTHER)
+    v = g.add_vertex(AUXILIARY)
     for base in (0, 5):
         for i in range(base, base + 5):
             for j in range(base, base + 5):

@@ -10,8 +10,7 @@ import kecc.decompose as dc
 import kecc.flow
 from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
                             verify_decomposition)
-from kecc.digraph import (AUX_KOUT, GraphError, from_arcs, materialize, out_of,
-                          vol_of)
+from kecc.digraph import GraphError, from_arcs, materialize, out_of, vol_of
 from kecc.flow import lambda_bounded, minimal_mincut_side
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
 from kecc.local_search import EMPTY, MSetResult
@@ -426,7 +425,7 @@ def test_persisting_out_sets_pull_back(rng):
         gev = g.copy()
         members, cut = non_bottom[0]
         rep = min(cut)
-        gev.contract_lazy(cut, rep, kind=AUX_KOUT)
+        gev.contract_lazy(cut, rep)
         rep_of = {u: rep if u in cut else u for u in g.vertices()}
         snap, vmap = materialize(gev)
         expand = {vmap[old]: {u for u in g.vertices() if rep_of[u] == old}

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kecc.digraph as dg
-from kecc.digraph import (AUX_KIN, AUX_KOUT, AUX_OTHER, ORDINARY, Digraph,
-                          GraphError, ReversalOverlay, contract,
+from kecc.digraph import (AUXILIARY, ORDINARY, Digraph, GraphError,
+                          ReversalOverlay, contract,
                           contract_complement_reduced, from_arcs, materialize,
                           out_of, vol_of)
 from kecc.gen import (gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec,
@@ -183,7 +183,7 @@ def test_ring_census_random_ops(rng):
 def test_contract_blocks_fixture():
     g = gen_blocks(5, 5, 2)
     b_side = set(range(5, 10))
-    h, v_b = contract(g, b_side, kind=AUX_KOUT)
+    h, v_b = contract(g, b_side)
     assert len(h.out[v_b]) == 2
     assert len(h.inn[v_b]) == 2
     heads = sorted(h.head(e) for e in h.out_edges(v_b))
@@ -207,7 +207,7 @@ def test_contract_whole_graph_rejected():
 
 def test_contract_preserves_lambda_blocks():
     g = gen_blocks(5, 5, 2)
-    h, _v_b = contract(g, set(range(5, 10)), kind=AUX_KOUT)
+    h, _v_b = contract(g, set(range(5, 10)))
     for u, v in [(0, 1), (2, 3), (1, 4)]:
         for ell in (2, 3, 4, 5):
             before = lambda_oracle(g, u, v, ell)
@@ -229,7 +229,7 @@ def test_contract_preserves_connectivity_random(rng):
         outside = [u for u in range(n) if u not in members]
         if len(outside) < 2:
             continue
-        h, _ = contract(g, members, kind=AUX_KOUT)
+        h, _ = contract(g, members)
         for _ in range(6):
             u, v = rng.sample(outside, 2)
             for ell in range(k, k + 4):
@@ -272,7 +272,7 @@ def test_contract_complement_reduced_blocks():
     copies = [e for e in h.out_edges(red.vbar)]
     assert len(copies) == 2
     assert all(h.head(e) == a0 for e in copies)
-    assert h.kind[red.vbar] == AUX_KIN
+    assert h.kind[red.vbar] == AUXILIARY
     assert len(h.inn[red.vbar]) == 2
     check(h)
 
@@ -339,7 +339,8 @@ def grouped_arcs(h, of):
 
 def test_lazy_contract_matches_eager(rng):
     # chains of up to three in-place contractions, where a later set may
-    # hold an earlier representative, against the same chain of eager ones
+    # hold an earlier representative, against the same chain of sequential
+    # rebuilds by ref_contract
     reps_merged = 0
     for _ in range(40):
         n = rng.randrange(5, 10)
@@ -355,11 +356,10 @@ def test_lazy_contract_matches_eager(rng):
             members = set(rng.sample(live, rng.randrange(2, len(live))))
             rep = rng.choice(sorted(members))
             reps_merged += bool(reps & members)
-            lazy.contract_lazy(members, rep, kind=AUX_KOUT)
+            lazy.contract_lazy(members, rep)
             check(lazy)
             moved = [v for v in range(n) if lazy_of[v] in members]
-            eager, v_s = contract(eager, {eager_of[v] for v in moved},
-                                  kind=AUX_KOUT)
+            eager, v_s = ref_contract(eager, {eager_of[v] for v in moved})
             for v in moved:
                 lazy_of[v] = rep
                 eager_of[v] = v_s
@@ -374,10 +374,9 @@ def test_lazy_contract_matches_eager(rng):
 # copies; every bulk build must match them array for array.
 
 def ref_reversed(g):
-    swap = {AUX_KOUT: AUX_KIN, AUX_KIN: AUX_KOUT}
     h = Digraph()
     for v in range(len(g.kind)):
-        h.add_vertex(swap.get(g.kind[v], g.kind[v]))
+        h.add_vertex(g.kind[v])
         h.v_alive[v] = g.v_alive[v]
         if not g.v_alive[v]:
             h.n_live -= 1
@@ -398,7 +397,7 @@ def ref_materialize(g):
     return h, vmap
 
 
-def ref_contract(g, members, kind=None):
+def ref_contract(g, members):
     memb = set(members)
     if not memb:
         raise GraphError("cannot contract an empty set")
@@ -407,15 +406,13 @@ def ref_contract(g, members, kind=None):
             raise GraphError(f"vertex {u} is not live")
     if len(memb) == g.n_live:
         raise GraphError("cannot contract the whole vertex set")
-    if kind is None:
-        kind = AUX_KOUT if out_of(g, memb) >= 1 else AUX_OTHER
     h = Digraph()
     for v in range(len(g.kind)):
         h.add_vertex(g.kind[v])
         if not g.v_alive[v] or v in memb:
             h.v_alive[v] = False
             h.n_live -= 1
-    v_s = h.add_vertex(kind)
+    v_s = h.add_vertex(AUXILIARY)
     for v in g.vertices():
         for e in g.out_edges(v):
             t, hd = g.ends(e)
@@ -433,7 +430,7 @@ def ref_complement_reduced(g, members, k):
         raise GraphError(f"expected a {k}-out set, found out={out}")
     h = Digraph()
     vmap = {u: h.add_vertex(g.kind[u]) for u in sorted(memb)}
-    vbar = h.add_vertex(AUX_KIN)
+    vbar = h.add_vertex(AUXILIARY)
     for u in sorted(memb):
         for e in g.out_edges(u):
             h.add_edge(vmap[u], vmap.get(g.head(e), vbar))
@@ -481,7 +478,7 @@ def built_graphs(draw):
     """A multigraph with parallel edges, deleted edges, dead vertices and
     lazily contracted vertex sets, plus a non-empty vertex set."""
     n = draw(st.integers(2, 8))
-    kinds = [ORDINARY, AUX_KOUT, AUX_KIN, AUX_OTHER]
+    kinds = [ORDINARY, AUXILIARY]
     g = Digraph()
     for _ in range(n):
         g.add_vertex(draw(st.sampled_from(kinds)))
@@ -506,23 +503,38 @@ def built_graphs(draw):
             break
         members = draw(st.lists(st.sampled_from(live), min_size=1,
                                 max_size=len(live) - 2, unique=True))
-        g.contract_lazy(members, members[0],
-                        kind=draw(st.sampled_from(kinds)))
+        g.contract_lazy(members, members[0])
     members = draw(st.lists(st.sampled_from(g.vertices()), min_size=1,
                             unique=True))
     return g, members
 
 
+def contracted(fn, g, members):
+    """The contracted vertex, survivors, kinds, counters and grouped arcs of
+    fn(g, members), or the type and message of its error: equal for two
+    contractions that differ only in edge ids and list order."""
+    try:
+        h, z = fn(g, members)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    check(h)
+    of = {v: z if v in members else v for v in g.vertices()}
+    return (z, h.vertices(), h.kind, h.n_live, h.m_live, h.n_slots(),
+            grouped_arcs(h, of))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(built_graphs(), st.sampled_from([None, AUX_KOUT, AUX_OTHER]),
-       st.integers(0, 1))
-def test_bulk_builds_match_add_edge(case, kind, k_shift):
+@given(built_graphs(), st.integers(0, 1))
+def test_bulk_builds_match_add_edge(case, k_shift):
+    # contract is a copy plus contract_lazy, not a bulk build, so it keeps
+    # g's edge ids and is checked against ref_contract up to edge ids and
+    # list order
     g, members = case
     check(g)
     before = fingerprint(g)
     assert outcome(materialize, g) == outcome(ref_materialize, g)
-    assert (outcome(contract, g, members, kind)
-            == outcome(ref_contract, g, members, kind))
+    assert contracted(contract, g, members) == contracted(ref_contract, g,
+                                                          members)
     k = max(1, out_of(g, members)) + k_shift
     assert (outcome(complement_reduced, g, members, k)
             == outcome(ref_complement_reduced, g, members, k))
@@ -532,18 +544,16 @@ def test_bulk_builds_match_add_edge(case, kind, k_shift):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(built_graphs())
 def test_reverse_is_a_view(case):
-    # the reverse shares g's arrays with tails and heads exchanged and has a
-    # kind list of its own; on the graphs materialize and
+    # the reverse shares g's arrays, kinds included, with tails and heads
+    # exchanged; on the graphs materialize and
     # contract_complement_reduced build, whose edge ids run in tail order,
     # it equals the sequential build array for array, which keeps the
     # decomposition's pieces byte-stable
     g, members = case
     before = fingerprint(g)
-    swap = {AUX_KOUT: AUX_KIN, AUX_KIN: AUX_KOUT}
     r = g.reversed()
     rr = r.reversed()
-    assert r.kind is not g.kind
-    assert r.kind == [swap.get(x, x) for x in g.kind] and rr.kind == g.kind
+    assert r.kind is g.kind and rr.kind is g.kind
     assert (r.n_live, r.m_live) == (g.n_live, g.m_live)
     for v in g.vertices():
         assert list(r.succ(v)) == list(g.pred(v))

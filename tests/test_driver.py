@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kecc.driver as drv
-from kecc.digraph import AUX_OTHER, Digraph, GraphError, vol_of
+from kecc.digraph import AUXILIARY, Digraph, GraphError, vol_of
 from kecc.decompose import decompose_kecc
 from kecc.driver import (compute_4ecc_prepared, compute_k2ecc,
                          compute_partition_single, sample_count)
@@ -68,7 +68,7 @@ def test_pipeline_modes_agree_on_blocks(rng):
 def test_single_requires_ordinary():
     g = gen_kn(4)
     for v in g.vertices():
-        g.kind[v] = AUX_OTHER
+        g.kind[v] = AUXILIARY
     with pytest.raises(GraphError):
         compute_partition_single(g, 1, 0.2, "exact")
 
@@ -160,7 +160,7 @@ def _low_fixture():
     """K5 on the ordinary vertices 0..4 plus an auxiliary vertex 5 with one
     arc out, to 0, and three in: lambda(5, s) = 1 for every s != 5."""
     g = gen_kn(5)
-    x = g.add_vertex(AUX_OTHER)
+    x = g.add_vertex(AUXILIARY)
     g.add_edge(x, 0)
     for u in (1, 2, 3):
         g.add_edge(u, x)
@@ -327,7 +327,7 @@ def _root_fixture(aux=False):
         g.add_edge(0, u)
         g.add_edge(u, 0)
     if aux:
-        x = g.add_vertex(AUX_OTHER)
+        x = g.add_vertex(AUXILIARY)
         for u in range(1, 5):
             g.add_edge(x, u, copies=2)
             g.add_edge(u, x, copies=2)

@@ -59,7 +59,7 @@ K3_NOT_PINNED = (25, 66, 147, 152, 229, 252, 266, 272, 279, 283, 285, 291,
 
 # adjacency_rows(): the order in which succ and pred list edges, on graphs
 # and on overlays, after every kind of graph change
-ADJACENCY_ORDER_DIGEST = "792a3d9fefeccf7207f060cd090d871769c231fd413679814b7a54d5a4feadf2"
+ADJACENCY_ORDER_DIGEST = "19f5830a077473c14a2163b35dbdf346ab14cfa3739de7cad227a72af398040b"
 
 
 def _digest(obj):

@@ -9,7 +9,7 @@ import pytest
 import kecc.cli as cli
 from kecc.cli import main
 from kecc.decompose import DecompositionError
-from kecc.digraph import AUX_OTHER, ORDINARY
+from kecc.digraph import AUXILIARY, ORDINARY
 from kecc.gen import gen_blocks
 from kecc.graphio import (GraphFormatError, parse_graph, partition_from_json,
                           partition_to_json, write_graph)
@@ -33,7 +33,7 @@ def test_graph_roundtrip(rng):
         if rng.random() < 0.5:
             for v in g.vertices():
                 if rng.random() < 0.3:
-                    g.kind[v] = AUX_OTHER
+                    g.kind[v] = AUXILIARY
             if not g.ordinary_vertices():
                 g.kind[0] = ORDINARY
         back = parse_graph(write_graph(g))
