@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kecc.driver as drv
-from kecc.digraph import AUXILIARY, Digraph, GraphError, vol_of
+from kecc.digraph import AUXILIARY, Digraph, GraphError, from_arcs, vol_of
 from kecc.decompose import decompose_kecc
 from kecc.driver import (compute_4ecc_prepared, compute_k2ecc,
                          compute_partition_single, sample_count)
@@ -309,6 +309,46 @@ def test_partition_does_not_depend_on_root(case, seed):
         assert compute_partition_single(h, k, 0.2, "exact", s=r) == want, r
     part = compute_partition_single(h, k, 0.2, "rand", random.Random(seed))
     report = verify_partition(h, part, k + 2)
+    assert report.ok, report.false_separations
+
+
+@st.composite
+def block_rings(draw):
+    """2-edge-connected graphs of at most 30 vertices that decompose into
+    several pieces: rings of 2-5 complete blocks of 3-6 vertices, each
+    block joined to the next by one arc each way between drawn members,
+    plus random cross arcs, under a drawn vertex numbering.  The pieces
+    carry auxiliary vertices, so the good partitions of det and rand mode
+    contract latest cuts next to them."""
+    sizes = draw(st.lists(st.integers(3, 6), min_size=2, max_size=5))
+    n = sum(sizes)
+    blocks = []
+    for size in sizes:
+        start = sum(map(len, blocks))
+        blocks.append(range(start, start + size))
+    arcs = [(u, v) for b in blocks for u in b for v in b if u != v]
+    for b, nxt in zip(blocks, blocks[1:] + blocks[:1]):
+        arcs.append((draw(st.sampled_from(b)), draw(st.sampled_from(nxt))))
+        arcs.append((draw(st.sampled_from(nxt)), draw(st.sampled_from(b))))
+    arcs += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)).filter(
+        lambda a: a[0] != a[1]), max_size=n // 3))
+    name = draw(st.permutations(range(n)))
+    return from_arcs(n, [(name[u], name[v], 1) for u, v in arcs])
+
+
+@PROPERTY
+@given(block_rings())
+def test_k2ecc_exact_equals_oracle_on_block_rings(g):
+    assert compute_k2ecc(g, 2, 0.25, "exact") == ecc_components(g, 4)
+
+
+@PROPERTY
+@given(block_rings(), st.sampled_from(["det", "rand"]),
+       st.integers(0, 2**32 - 1))
+def test_k2ecc_splits_no_4_connected_pair_on_block_rings(g, mode, seed):
+    part = compute_k2ecc(g, 2, 0.25, mode, random.Random(seed))
+    report = verify_partition(g, part, 4)
     assert report.ok, report.false_separations
 
 

@@ -41,8 +41,10 @@ PIECES_ROWS_DIGEST = "a052af8d92d4061f2079299a077fdd4df6066004c6319757f985d26f3f
 
 # compute_4ecc_prepared(piece.graph, 0.25, "rand", rng) over the pieces of
 # decompose_kecc(g, 2, 0.25, "rand", Random(0)), one rng = Random(1) shared
-# by all pieces; these reach good_partition at lambda(v, s) < 2 59 and 5
-# times
+# by all pieces.  chain makes 59 good_partition calls, all at
+# lambda(v, s) = 2; rk makes 8, 6 at lambda = 2 and 2 at lambda = 3.  None
+# is below k, so these pins do not reach the path that only low accepts;
+# test_4ecc_prepared_accepts_lambda_one does.
 LOW_GRAPHS = {"chain": lambda: gen_chain(30, 6, 1),
               "rk": lambda: gen_random_kec(120, 2, 600, 0)}
 LOW_DIGESTS = {

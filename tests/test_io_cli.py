@@ -3,14 +3,15 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
 import kecc.cli as cli
 from kecc.cli import main
-from kecc.decompose import DecompositionError
-from kecc.digraph import AUXILIARY, ORDINARY
-from kecc.gen import gen_blocks
+from kecc.decompose import DecompositionError, decompose_kecc
+from kecc.digraph import AUXILIARY, ORDINARY, materialize
+from kecc.gen import gen_blocks, gen_chain
 from kecc.graphio import (GraphFormatError, parse_graph, partition_from_json,
                           partition_to_json, write_graph)
 from kecc.oracle import ecc_components
@@ -39,6 +40,18 @@ def test_graph_roundtrip(rng):
         back = parse_graph(write_graph(g))
         assert arcs_multiset(back) == arcs_multiset(g)
         assert back.ordinary_vertices() == g.ordinary_vertices()
+
+
+def test_piece_files_keep_their_kinds():
+    # a piece as `kecc decompose --out-dir` writes it reads back with the
+    # kinds it was written with
+    pieces = decompose_kecc(gen_chain(30, 6, 1), 2, 0.25, "rand",
+                            random.Random(0))
+    assert len(pieces) == 30
+    for p in pieces:
+        h = materialize(p.graph)[0]
+        assert AUXILIARY in h.kind
+        assert parse_graph(write_graph(h)).kind == h.kind
 
 
 def test_parse_errors_carry_line_numbers():
