@@ -200,25 +200,24 @@ class Digraph:
                 raise GraphError(f"vertex {u} is not live")
         out, inn = self.out, self.inn
         e_tail, e_head, e_alive = self.e_tail, self.e_head, self.e_alive
-        internal = [e for u in memb for e in out[u] if e_head[e] in memb]
+        others = [u for u in memb if u != rep]
+        order = [rep] + others
+        internal = [e for u in order for e in out[u] if e_head[e] in memb]
         for e in internal:
             e_alive[e] = False
         self.m_live -= len(internal)
-        for u in memb:
-            out[u] = [e for e in out[u] if e_alive[e]]
-            inn[u] = [e for e in inn[u] if e_alive[e]]
-        for u in memb:
-            if u != rep:
-                for e in out[u]:
-                    e_tail[e] = rep
-                for e in inn[u]:
-                    e_head[e] = rep
-                out[rep] += out[u]
-                inn[rep] += inn[u]
-                out[u] = []
-                inn[u] = []
-                self.v_alive[u] = False
-                self.n_live -= 1
+        leaving = [e for u in order for e in out[u] if e_alive[e]]
+        entering = [e for u in order for e in inn[u] if e_alive[e]]
+        for e in leaving:
+            e_tail[e] = rep
+        for e in entering:
+            e_head[e] = rep
+        out[rep], inn[rep] = leaving, entering
+        for u in others:
+            out[u] = []
+            inn[u] = []
+            self.v_alive[u] = False
+        self.n_live -= len(others)
         self.kind[rep] = AUXILIARY
         return rep
 
