@@ -461,11 +461,10 @@ class ReversalOverlay:
         return path
 
 
-def _build(kinds, alive, tails, heads):
-    """Plain graph with the given vertex kinds and liveness and an edge
-    tails[i] -> heads[i] of id i for every i, identical to the one that
-    add_vertex per vertex, a v_alive reset per dead vertex and add_edge per
-    edge in id order would build.
+def _build(kinds, tails, heads):
+    """Plain graph with one live vertex of each of the given kinds and an
+    edge tails[i] -> heads[i] of id i for every i, identical to the one that
+    add_vertex per vertex and add_edge per edge in id order would build.
 
     add_edge's checks run over the whole lists at once; when one fails, the
     build is replayed edge by edge so that add_edge raises its own error for
@@ -475,25 +474,22 @@ def _build(kinds, alive, tails, heads):
     if tails and not (
             min(tails) >= 0 and min(heads) >= 0
             and max(tails) < n and max(heads) < n
-            and (all(alive) or all(map(alive.__getitem__, tails))
-                 and all(map(alive.__getitem__, heads)))
             and not any(map(eq, tails, heads))
             and len(tails) <= MAX_EDGES):
         g = Digraph()
-        for v, kind in enumerate(kinds):
+        for kind in kinds:
             g.add_vertex(kind)
-            g.v_alive[v] = alive[v]
         for t, h in zip(tails, heads):
             g.add_edge(t, h)
     g = Digraph()
     g.kind = kinds
-    g.v_alive = alive
+    g.v_alive = [True] * n
     g.e_tail = tails
     g.e_head = heads
     g.e_alive = [True] * len(tails)
     g.out = _lists(n, tails)
     g.inn = _lists(n, heads)
-    g.n_live = sum(alive)
+    g.n_live = n
     g.m_live = len(tails)
     return g
 
@@ -511,16 +507,15 @@ def from_arcs(n, arcs, ordinary=None):
     (u, v, mult) arc; when ordinary is given, only those vertices are
     ordinary."""
     kinds = [ORDINARY] * n
-    alive = [True] * n
     tails = []
     heads = []
     for u, v, mult in arcs:
         if mult < 1 or len(tails) + mult > MAX_EDGES:
             # raises add_edge's error for this arc, or for an earlier one
-            _build(kinds, alive, tails, heads).add_edge(u, v, copies=mult)
+            _build(kinds, tails, heads).add_edge(u, v, copies=mult)
         tails += [u] * mult
         heads += [v] * mult
-    g = _build(kinds, alive, tails, heads)
+    g = _build(kinds, tails, heads)
     if ordinary is not None:
         g.set_ordinary(ordinary)
     return g
@@ -614,7 +609,7 @@ def contract_complement_reduced(g, members, k):
         tails += [vbar] * rho
         heads += [vmap[u]] * rho
     kinds = [g.kind[u] for u in order] + [AUXILIARY]
-    h = _build(kinds, [True] * len(kinds), tails, heads)
+    h = _build(kinds, tails, heads)
     return ReducedComplement(h, vmap, vbar)
 
 
@@ -631,5 +626,4 @@ def materialize(g):
         ends = [vmap[g.head(e)] for e in g.out_edges(v)]
         tails += [vmap[v]] * len(ends)
         heads += ends
-    return _build([g.kind[v] for v in verts], [True] * len(verts), tails,
-                  heads), vmap
+    return _build([g.kind[v] for v in verts], tails, heads), vmap
