@@ -9,8 +9,8 @@ cross-checkable against a built-in brute-force oracle.
 from .digraph import (AUXILIARY, ORDINARY, Digraph, GraphError,
                       ReversalOverlay, contract,
                       contract_complement_reduced, materialize, out_of, vol_of)
-from .flow import (FlowState, PQGraph, flow_state, lambda_bounded,
-                   latest_mincut, minimal_mincut_side, pq_graph)
+from .flow import (FlowState, flow_state, lambda_bounded, latest_mincut,
+                   minimal_mincut_side)
 from .local_search import (EMPTY, MSetResult, SearchBudget, amplified_mset,
                            find_out_paths, local_search_mset,
                            randomized_local_search_mset)
@@ -29,8 +29,8 @@ __all__ = [
     "AUXILIARY", "ORDINARY", "Digraph",
     "GraphError", "ReversalOverlay", "contract",
     "contract_complement_reduced", "materialize", "out_of", "vol_of",
-    "FlowState", "PQGraph", "flow_state", "lambda_bounded", "latest_mincut",
-    "minimal_mincut_side", "pq_graph", "EMPTY", "MSetResult", "SearchBudget",
+    "FlowState", "flow_state", "lambda_bounded", "latest_mincut",
+    "minimal_mincut_side", "EMPTY", "MSetResult", "SearchBudget",
     "amplified_mset", "find_out_paths", "local_search_mset",
     "randomized_local_search_mset", "Partition", "ecc_naive",
     "good_partition", "partition_from_msets", "refine", "refine_many",

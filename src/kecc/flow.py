@@ -1,14 +1,15 @@
 """Bounded augmenting-path machinery over reversal overlays: local edge
-connectivity, minimal and latest min-cut sides, and the DAG representation
-of all minimum cuts (Picard-Queyranne graph).
+connectivity, minimal and latest min-cut sides, and the partition into the
+nodes of the DAG of all minimum cuts (Picard-Queyranne), read on the latest
+side alone.
 
 Each parallel edge is its own unit-capacity channel, so pushing one unit of
 flow along a path is exactly reversing that path in the overlay, and the
 overlay itself *is* the residual graph.  Each augmenting path is found by
 a search that grows from the source and from the sink at once and stops
 where the two meet, so a path near both ends costs the edges around it, not
-a sweep of the graph.  The sides and the min-cut DAG read off a maximum flow
-do not depend on which maximum flow the searches found.
+a sweep of the graph.  The sides and the min-cut DAG partition read off a
+maximum flow do not depend on which maximum flow the searches found.
 
 A pass that asks min(lambda(v, s), c) for many v in turn can stop each flow
 at the vertices already certified: if lambda(u, s) >= c for every u in a
@@ -59,17 +60,23 @@ class FlowState:
         blocked = set(self.overlay.bfs(self.sink, backward=True))
         return frozenset(set(self.overlay.g.vertices()) - blocked)
 
-    def pq(self):
-        """The min-cut DAG representation (Picard-Queyranne graph).
+    def scc_partition(self):
+        """The partition of the vertices into the strongly connected
+        components of the residual graph, the min-cut DAG's nodes
+        (Picard-Queyranne).
 
-        Each unflipped parallel edge contributes its forward copy, each
-        flipped one only its backward copy (it is saturated), so the residual
-        adjacency is exactly the overlay view of the graph.
+        Needs g strongly connected.  Then the sink reaches every vertex in
+        the residual (along unsaturated edges, and backwards along flow
+        paths and cycles), so everything outside the latest side L, which
+        reaches the sink, is the sink's component, and L is closed under
+        residual successors: the components are read off L alone, with the
+        rest under one key.
         """
         ov = self.overlay
-        universe = tuple(sorted(ov.g.vertices()))
-        succ = {x: [y for _e, y in ov.succ(x)] for x in universe}
-        return PQGraph(universe, succ, self.source, self.sink)
+        latest = self.latest_side()
+        succ = {x: [y for _e, y in ov.succ(x)] for x in latest}
+        comp = _tarjan(latest, succ)
+        return Partition.from_key(ov.g.vertices(), lambda x: comp.get(x, -1))
 
 
 def flow_state(g, src, dst, cap=None, sinks=None):
@@ -79,8 +86,8 @@ def flow_state(g, src, dst, cap=None, sinks=None):
     and vertices certified at lambda(u, dst) >= cap, the flow runs into all
     marked vertices (the lemma in the module docstring) and marks src when
     it reaches cap; its value and, below cap, minimal_side are those of the
-    flow to dst alone, while latest_side and pq are not.  When the one-edge
-    paths into marked vertices reach cap, no overlay is built at all.
+    flow to dst alone, while latest_side and scc_partition are not.  When
+    the one-edge paths into marked vertices reach cap, no overlay is built.
     """
     if src == dst:
         raise GraphError("source and sink must differ")
@@ -140,34 +147,15 @@ def latest_mincut(g, v, s):
     return flow_state(g, v, s).latest_side()
 
 
-class PQGraph:
-    """Residual graph of a max-flow with its strongly connected components.
-
-    Its reachability-closed vertex sets containing the flow source and not
-    the sink are exactly the minimum cuts; the partition into strongly
-    connected components is the finest partition compatible with all of them.
-    """
-
-    def __init__(self, universe, succ, source, sink):
-        self.universe = universe
-        self.succ = succ
-        self.source = source
-        self.sink = sink
-        self.scc_id, self.n_scc = _tarjan(universe, succ)
-
-    def partition(self):
-        return Partition.from_key(self.universe, self.scc_id.__getitem__)
-
-
 def _tarjan(universe, succ):
-    """Iterative Tarjan SCC; component ids canonical by smallest member."""
+    """Iterative Tarjan SCC over universe, closed under succ: a dict from
+    each vertex to its component's root, the member Tarjan met first."""
     index = {}
     low = {}
     on_stack = set()
     stack = []
     comp_of = {}
     counter = [0]
-    comps = []
 
     for root in universe:
         if root in index:
@@ -200,22 +188,15 @@ def _tarjan(universe, succ):
                 if low[x] < low[px]:
                     low[px] = low[x]
             if low[x] == index[x]:
-                comp = []
                 while True:
                     y = stack.pop()
                     on_stack.discard(y)
-                    comp.append(y)
+                    comp_of[y] = x
                     if y == x:
                         break
-                comps.append(comp)
-
-    comps.sort(key=min)
-    for i, comp in enumerate(comps):
-        for y in comp:
-            comp_of[y] = i
-    return comp_of, len(comps)
+    return comp_of
 
 
+# not called here; perfbench's tracer wraps this name in this module
 def pq_graph(g, v, s):
-    """The min-cut DAG representation for the (v, s)-max-flow."""
-    return flow_state(g, v, s).pq()
+    return flow_state(g, v, s).scc_partition()

@@ -7,14 +7,15 @@ t = k+2 for every sampled vertex with lambda(v, s) <= k+1.  The paper's
 (k+3) refinement of one (k+2)-connected component is the same call at
 t = k+3, for lambda(v, s) in {k, k+1, k+2}; no driver runs it.
 For a target connectivity t and a maximum flow of value lam < t: at
-lam = t-1 the partition is the strongly connected components of the min-cut
-DAG; below that, the latest min cut is contracted into z, the
-(t-lam)-edge-connected components are taken with z's lam outgoing edges
-removed, and each exit head x != s is merged into z and gets one flow capped
-at t, whose value must exceed lam and, when it stays below t, drives the
-same recursion.  lam rises on every level, so the depth is at most t-lam,
-and the min-cut DAG and the latest min cut are the same for every maximum
-flow, so no flow is run twice.
+lam = t-1 the partition is the strongly connected components of the residual
+graph, the min-cut DAG's nodes, read on the latest side alone (g is strongly
+connected, so the rest is the root's component); below that, the latest min
+cut is contracted into z, the (t-lam)-edge-connected components are taken
+with z's lam outgoing edges removed, and each exit head x != s is merged
+into z and gets one flow capped at t, whose value must exceed lam and, when
+it stays below t, drives the same recursion.  lam rises on every level, so
+the depth is at most t-lam, and the min-cut DAG and the latest min cut are
+the same for every maximum flow, so no flow is run twice.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def _good_partition(g, s, t, fs):
     from .flow import flow_state
     lam = fs.value
     if lam == t - 1:
-        return fs.pq().partition()
+        return fs.scc_partition()
     universe = tuple(sorted(g.vertices()))
     latest = fs.latest_side()
     gz, z = contract(g, latest)
@@ -212,9 +213,10 @@ def good_partition(g, v, s, t):
     """Good partition of g for the sampled vertex v and the root s at target
     connectivity t, from one (v, s)-flow capped at t.
 
-    Needs 1 <= lambda(v, s) < t.  It splits no pair of vertices that are
-    mutually t-connected, and it separates every ordinary u with v inside
-    its minimal (t-1)-out set from the vertices outside that set.
+    Needs 1 <= lambda(v, s) < t and g strongly connected, which the
+    contractions of the recursion keep.  It splits no pair of vertices that
+    are mutually t-connected, and it separates every ordinary u with v
+    inside its minimal (t-1)-out set from the vertices outside that set.
     """
     from .flow import flow_state
     fs = flow_state(g, v, s, t)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
 
 import pytest
 
+import kecc.partitions
 from kecc.digraph import AUXILIARY, Digraph, GraphError
+from kecc.flow import flow_state
 from kecc.local_search import SearchBudget
 from kecc.partitions import Partition
 
@@ -150,8 +153,77 @@ def check(g):
     assert len(live) == g.m_live, "edge counter drift"
 
 
+def reach(step, start):
+    """Every vertex reachable from start, where step(x) lists x's
+    neighbours."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for y in step(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+class WholeResidual:
+    """The residual graph of a maximum flow over every vertex, with its
+    strongly connected components numbered by smallest member: the min-cut
+    DAG (Picard-Queyranne) that FlowState.scc_partition reads on the latest
+    side alone.  Each component is a forward reach intersected with a
+    backward reach, so this reference shares no code with the library's
+    Tarjan."""
+
+    def __init__(self, fs):
+        ov = fs.overlay
+        self.universe = tuple(sorted(ov.g.vertices()))
+        self.succ = {x: [y for _e, y in ov.succ(x)] for x in self.universe}
+        self.source = fs.source
+        self.sink = fs.sink
+        pred = {x: [y for _e, y in ov.pred(x)] for x in self.universe}
+        self.scc_id = {}
+        self.n_scc = 0
+        for x in self.universe:
+            if x not in self.scc_id:
+                for y in (reach(self.succ.__getitem__, x)
+                          & reach(pred.__getitem__, x)):
+                    self.scc_id[y] = self.n_scc
+                self.n_scc += 1
+
+    def partition(self):
+        return Partition.from_key(self.universe, self.scc_id.__getitem__)
+
+
+def whole_residual(g, v, s):
+    """The WholeResidual of an uncapped (v, s)-flow."""
+    return WholeResidual(flow_state(g, v, s))
+
+
+@contextmanager
+def strongly_connected_audit():
+    """Wrap partitions._good_partition, the good-partition recursion, so
+    that every graph it receives must be strongly connected: forward and
+    backward reach from the root s cover every live vertex.  The latest-side
+    reading of the min-cut DAG partition is exact only then.  Yields the
+    list of audited graph sizes."""
+    real = kecc.partitions._good_partition
+    sizes = []
+
+    def audited(g, s, t, fs):
+        live = set(g.vertices())
+        assert reach(lambda x: (y for _e, y in g.succ(x)), s) == live
+        assert reach(lambda x: (y for _e, y in g.pred(x)), s) == live
+        sizes.append(len(live))
+        return real(g, s, t, fs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kecc.partitions, "_good_partition", audited)
+        yield sizes
+
+
 def pq_dag(pq):
-    """Successor sets of the condensation of a PQGraph, by component id."""
+    """Successor sets of the condensation of a WholeResidual, by component
+    id."""
     dag = {c: set() for c in range(pq.n_scc)}
     for x in pq.universe:
         cx = pq.scc_id[x]
@@ -163,9 +235,9 @@ def pq_dag(pq):
 
 
 def closed_sets(pq, guard=20):
-    """All reachability-closed vertex sets of a PQGraph containing the flow
-    source and excluding the sink: the minimum cuts.  Exponential, guarded
-    to small component counts."""
+    """All reachability-closed vertex sets of a WholeResidual containing the
+    flow source and excluding the sink: the minimum cuts.  Exponential,
+    guarded to small component counts."""
     if pq.n_scc > guard:
         raise GraphError(f"closed-set enumeration guarded to {guard} components")
     comp_members = {}

@@ -16,7 +16,6 @@ from kecc.decompose import (DecompositionError, decompose_kecc,
                             verify_decomposition)
 from kecc.digraph import ReversalOverlay, out_of, vol_of
 from kecc.driver import compute_k2ecc, sample_count
-from kecc.flow import pq_graph
 from kecc.gen import (gen, gen_blocks, gen_chain, gen_cyc, gen_kn,
                       gen_random_kec, sub_rng)
 from kecc.local_search import randomized_local_search_mset
@@ -24,7 +23,8 @@ from kecc.oracle import (BOTTOM, ecc_components, enumerate_separators,
                          lambda_oracle, mset_oracle)
 
 from conftest import (closed_sets, random_strongly_connected, random_walk,
-                      recording_budget)
+                      recording_budget, strongly_connected_audit,
+                      whole_residual)
 
 
 @contextmanager
@@ -122,6 +122,20 @@ def test_c2_one_sided_safety(corpus, oracle_parts):
         assert retried <= 10
 
 
+def test_good_partitions_see_strongly_connected_graphs(corpus):
+    # the min-cut DAG partition is read on the latest side alone, which is
+    # exact only on strongly connected graphs: every graph the good-partition
+    # recursion receives in the det and rand runs of the corpus must be one
+    with strongly_connected_audit() as sizes:
+        for idx, (_name, g, k) in enumerate(corpus):
+            compute_k2ecc(g, k, 0.2, "det", sub_rng(idx, "sc-det"))
+            try:
+                compute_k2ecc(g, k, 0.2, "rand", sub_rng(idx, "sc-rand"))
+            except DecompositionError:
+                pass  # an allowed rand-mode outcome, checked in criterion 2
+    assert sizes
+
+
 def test_c3_two_sided_failure_rate():
     with criterion(3, "missed-separation rate within the binomial gate"):
         g = gen_blocks(6, 6, 2)
@@ -205,7 +219,7 @@ def test_c6_pq_characterization(rng):
                         continue
                     lam = lambda_oracle(g, v, s, g.m_live + 1)
                     closed = {frozenset(x)
-                              for x in closed_sets(pq_graph(g, v, s))}
+                              for x in closed_sets(whole_residual(g, v, s))}
                     assert closed == set(enumerate_separators(g, v, s, lam))
 
 

@@ -21,7 +21,7 @@ from kecc.oracle import (BOTTOM, ecc_components, mset_oracle,
 from kecc.partitions import ecc_naive, good_partition, partition_from_msets
 from kecc.local_search import local_search_mset
 
-from conftest import arrays, planted_deficient
+from conftest import arrays, planted_deficient, strongly_connected_audit
 
 
 def test_sample_count_formula():
@@ -307,7 +307,9 @@ def test_partition_does_not_depend_on_root(case, seed):
     want = ecc_components(h, k + 2)
     for r in h.ordinary_vertices():
         assert compute_partition_single(h, k, 0.2, "exact", s=r) == want, r
-    part = compute_partition_single(h, k, 0.2, "rand", random.Random(seed))
+    with strongly_connected_audit():
+        part = compute_partition_single(h, k, 0.2, "rand",
+                                        random.Random(seed))
     report = verify_partition(h, part, k + 2)
     assert report.ok, report.false_separations
 
@@ -347,7 +349,9 @@ def test_k2ecc_exact_equals_oracle_on_block_rings(g):
 @given(block_rings(), st.sampled_from(["det", "rand"]),
        st.integers(0, 2**32 - 1))
 def test_k2ecc_splits_no_4_connected_pair_on_block_rings(g, mode, seed):
-    part = compute_k2ecc(g, 2, 0.25, mode, random.Random(seed))
+    # the good partitions of the pieces must see strongly connected graphs
+    with strongly_connected_audit():
+        part = compute_k2ecc(g, 2, 0.25, mode, random.Random(seed))
     report = verify_partition(g, part, 4)
     assert report.ok, report.false_separations
 

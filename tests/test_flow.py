@@ -13,9 +13,11 @@ from kecc.flow import (flow_state, lambda_bounded, latest_mincut,
 from kecc.gen import gen_blocks, gen_cyc, gen_kn, gen_random_kec
 from kecc.oracle import (enumerate_separators, lambda_oracle, latest_oracle,
                          mset_oracle)
+from kecc.partitions import good_partition
 
-from conftest import (closed_sets, induced, overlay_to_digraph, pq_dag,
-                      random_strongly_connected, random_walk)
+from conftest import (WholeResidual, closed_sets, induced, overlay_to_digraph,
+                      pq_dag, random_strongly_connected, random_walk,
+                      whole_residual)
 
 
 def test_lambda_fixtures():
@@ -177,7 +179,7 @@ def test_submodularity_of_separators(rng):
 
 def test_pq_cycle_fixture():
     g = gen_cyc(4, 1)
-    pq = pq_graph(g, 1, 0)
+    pq = whole_residual(g, 1, 0)
     adjacency = {x: sorted(pq.succ[x]) for x in pq.universe}
     assert adjacency == {0: [1, 3], 1: [], 2: [1], 3: [2]}
     assert pq.n_scc == 4
@@ -187,7 +189,7 @@ def test_pq_cycle_fixture():
 
 def test_pq_saturated_edges_only_backward():
     g = gen_cyc(4, 1)
-    pq = pq_graph(g, 1, 0)
+    pq = whole_residual(g, 1, 0)
     # flow saturates 1->2->3->0; those arcs appear only reversed
     assert 2 not in pq.succ[1]
     assert 1 in pq.succ[2]
@@ -195,7 +197,7 @@ def test_pq_saturated_edges_only_backward():
 
 def test_pq_kn_fixture():
     g = gen_kn(4)
-    pq = pq_graph(g, 0, 3)
+    pq = whole_residual(g, 0, 3)
     closed = {frozenset(x) for x in closed_sets(pq)}
     brute = set(enumerate_separators(g, 0, 3, 3))
     assert closed == brute
@@ -206,7 +208,7 @@ def test_pq_condensation_endpoints(rng):
         g = random_strongly_connected(rng, rng.randrange(3, 7),
                                       rng.randrange(0, 8))
         v, s = rng.sample(range(g.n_live), 2)
-        pq = pq_graph(g, v, s)
+        pq = whole_residual(g, v, s)
         dag = pq_dag(pq)
         indeg = {c: 0 for c in range(pq.n_scc)}
         for c, targets in dag.items():
@@ -224,7 +226,7 @@ def test_pq_closed_sets_match_enumeration(rng):
                                       rng.randrange(0, 9))
         v, s = rng.sample(range(g.n_live), 2)
         lam = lambda_oracle(g, v, s, 10)
-        closed = {frozenset(x) for x in closed_sets(pq_graph(g, v, s))}
+        closed = {frozenset(x) for x in closed_sets(whole_residual(g, v, s))}
         assert closed == set(enumerate_separators(g, v, s, lam))
 
 
@@ -422,6 +424,37 @@ def test_flow_readers_do_not_depend_on_the_flow(query, headroom):
     assert capped.value == other.value
     assert capped.minimal_side() == other.minimal_side()
     assert capped.latest_side() == other.latest_side()
-    assert capped.pq().partition() == other.pq().partition()
+    assert (WholeResidual(capped).partition()
+            == WholeResidual(other).partition())
     assert capped.minimal_side() == mset_oracle(g, v, s, capped.value)
     assert capped.latest_side() == latest_oracle(g, v, s)
+
+
+@st.composite
+def strong_multigraphs(draw):
+    """A small strongly connected multigraph: a Hamiltonian cycle in a drawn
+    order plus drawn arcs of one to three parallel copies each."""
+    n = draw(st.integers(2, 7))
+    order = draw(st.permutations(range(n)))
+    arcs = [(order[i], order[(i + 1) % n], 1) for i in range(n)]
+    arcs += draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        st.integers(1, 3)).filter(lambda a: a[0] != a[1]), max_size=14))
+    return from_arcs(n, arcs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(strong_multigraphs())
+def test_scc_partition_matches_whole_residual(g):
+    # on a strongly connected graph the partition read on the latest side
+    # alone is the whole residual's, for every ordered pair and so for every
+    # flow value the graph reaches; at t = lambda + 1 good_partition is it
+    for v in g.vertices():
+        for s in g.vertices():
+            if v == s:
+                continue
+            fs = flow_state(g, v, s)
+            want = WholeResidual(fs).partition()
+            assert fs.scc_partition() == want
+            assert pq_graph(g, v, s) == want
+            assert good_partition(g, v, s, fs.value + 1) == want

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import kecc.flow
 import kecc.partitions
 from kecc.digraph import Digraph, GraphError, contract
-from kecc.flow import lambda_bounded, pq_graph
+from kecc.flow import lambda_bounded
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn
 from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import (BOTTOM, ecc_components, latest_oracle, mset_oracle,
@@ -19,7 +19,7 @@ from kecc.partitions import (Partition, ecc_naive, good_partition,
                              refine_many)
 
 from conftest import (one_block, planted_deficient, random_strongly_connected,
-                      singletons)
+                      singletons, whole_residual)
 
 
 def blocks_of(p):
@@ -251,7 +251,7 @@ def test_good_k3_top_case_is_full():
     # at lambda = t-1 the partition is the min-cut DAG's components
     g = gen_blocks(5, 5, 4)  # out(B side) = 4 = k+2 for k=2
     assert lambda_bounded(g, 6, 1, 5) == 4
-    want = pq_graph(g, 6, 1).partition()
+    want = whole_residual(g, 6, 1).partition()
     assert good_partition(g, 6, 1, 2 + 3) == want
 
 
