@@ -26,6 +26,7 @@ from .graphio import (GraphFormatError, parse_graph, partition_from_json,
                       partition_to_json, write_graph)
 from .local_search import amplified_mset, local_search_mset
 from .oracle import ecc_components
+from .validation import check_delta, check_k
 
 
 def _read_graph(path):
@@ -69,10 +70,24 @@ def _cmd_lambda(args):
     return 0
 
 
+def _flag(flag, check, x):
+    """check(x), whose GraphError is raised again naming flag."""
+    try:
+        return check(x)
+    except GraphError as exc:
+        raise GraphError(f"{flag}: {exc}") from None
+
+
 def _cmd_mset(args):
+    # checked in both modes before the graph is read: det mode ignores
+    # --delta, and only the searches would reject the others
+    _flag("--k", check_k, args.k)
+    _flag("--delta", check_delta, args.delta)
+    budget = args.delta_budget
+    if budget is not None and budget < 1:
+        raise GraphError(f"--delta-budget must be >= 1, got {budget}")
     g = _read_graph(args.graph)
     v, s = _live(g, "--v", args.v), _live(g, "--s", args.s)
-    budget = args.delta_budget
     if budget is None:
         budget = max(1, g.m_live)
     if args.mode == "det":

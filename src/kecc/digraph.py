@@ -241,10 +241,9 @@ class ReversalOverlay:
     The base graph is never touched; rewind restores the overlay to an
     earlier journal mark exactly.  succ and pred walk a vertex's edge lists
     directly while it has no flipped edge, and skip or turn its flipped
-    edges otherwise.  Flows find augmenting paths with the two-sided search
-    augmenting_path and read residual reach with bfs; local searches walk
-    the overlay with bounded_bfs.  path_into serves flows into a set of
-    sinks marked in a bytearray.
+    edges otherwise.  Flows find augmenting paths into a set of vertices
+    marked in a bytearray with path_into and read residual reach with bfs;
+    local searches walk the overlay with bounded_bfs.
     """
 
     def __init__(self, g):
@@ -332,12 +331,14 @@ class ReversalOverlay:
     # The kernels read adjacency only through succ and pred, lazily, so a
     # search that stops early never touches the rest of a vertex's lists.
 
-    def bfs(self, src, backward=False):
-        """Vertices reachable from src over successors, or predecessors when
-        backward, in breadth-first discovery order."""
+    def bfs(self, sources, backward=False):
+        """Vertices reachable from the distinct vertices of sources over
+        successors, or predecessors when backward, in breadth-first
+        discovery order."""
         visited = bytearray(len(self.g.kind))
-        visited[src] = 1
-        queue = [src]
+        for x in sources:
+            visited[x] = 1
+        queue = list(sources)
         step = self.pred if backward else self.succ
         for x in queue:
             for _e, y in step(x):
@@ -345,44 +346,6 @@ class ReversalOverlay:
                     visited[y] = 1
                     queue.append(y)
         return queue
-
-    def augmenting_path(self, src, dst):
-        """Edges of a path from src to dst (src != dst) in walk order, or
-        None when dst is unreachable.
-
-        A forward search from src and a backward one from dst expand one
-        vertex each in turn and stop as soon as they meet, or as soon as
-        either runs out.  A vertex is seen by at most one side, so the two
-        tree paths and the meeting edge form a simple path.
-        """
-        n = len(self.g.kind)
-        fseen = bytearray(n)
-        bseen = bytearray(n)
-        fseen[src] = 1
-        bseen[dst] = 1
-        tree = [-1] * n  # edge each vertex was seen by, toward its side's root
-        fq = [src]
-        bq = [dst]
-        # zip draws the next vertex of each growing queue per turn and ends
-        # when either queue has none left
-        for x, y in zip(fq, bq):
-            for e, z in self.succ(x):
-                if fseen[z]:
-                    continue
-                if bseen[z]:
-                    return self._join(tree, src, x, e, z, dst)
-                fseen[z] = 1
-                tree[z] = e
-                fq.append(z)
-            for e, z in self.pred(y):
-                if bseen[z]:
-                    continue
-                if fseen[z]:
-                    return self._join(tree, src, z, e, y, dst)
-                bseen[z] = 1
-                tree[z] = e
-                bq.append(z)
-        return None
 
     def path_into(self, src, marked):
         """Edges of a path from an unmarked src to a vertex marked in the
@@ -446,18 +409,6 @@ class ReversalOverlay:
             path.append(e)
             dst = self.tail(e)
         path.reverse()
-        return path
-
-    def _join(self, tree, src, x, e, y, dst):
-        """The path src ~> x -> y ~> dst of augmenting_path, where the
-        forward tree reaches x, e runs from x to y and the backward tree
-        leads from y."""
-        path = self.tree_path(tree, src, x)
-        path.append(e)
-        while y != dst:
-            e = tree[y]
-            path.append(e)
-            y = self.head(e)
         return path
 
 

@@ -92,8 +92,8 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
                     f"lambda({v},{s})={lam} below k: graph is not "
                     f"{k}-edge-connected")
     parts = [partition_from_msets(results, universe, ordinary)]
-    parts += [good_partition(h, v, s, k + 2) for v in sampled
-              if lam_cache[v] <= k + 1]
+    parts += [good_partition(flow_state(h, v, s, k + 2, sinks), k + 2)
+              for v in sampled if lam_cache[v] <= k + 1]
     return refine_many(parts)
 
 
@@ -106,7 +106,8 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
     The graph's ordinary vertices must be (k+1)-edge-connected.  Runs the
     small-set pass and the sampling pass on the graph and on its reverse,
     and returns the common refinement.  Every sampled vertex with
-    lambda(v, s) <= k+1 gets good_partition(h, v, s, k+2).  A vertex found
+    lambda(v, s) <= k+1 gets the good partition at k+2 of one flow into s
+    and the vertices certified at lambda(u, s) >= k+2.  A vertex found
     at lambda(v, s) < k, by either pass, raises GraphError unless low is
     set.  In exact mode the output is deterministic and equals the
     (k+2)-connectivity classes of the ordinary vertices; the other modes

@@ -5,21 +5,23 @@ side alone.
 
 Each parallel edge is its own unit-capacity channel, so pushing one unit of
 flow along a path is exactly reversing that path in the overlay, and the
-overlay itself *is* the residual graph.  Each augmenting path is found by
-a search that grows from the source and from the sink at once and stops
-where the two meet, so a path near both ends costs the edges around it, not
-a sweep of the graph.  The sides and the min-cut DAG partition read off a
-maximum flow do not depend on which maximum flow the searches found.
+overlay itself *is* the residual graph.  Every flow runs into a set of
+marked vertices: each augmenting path is found by one forward search from
+the source that stops at the first marked vertex it sees.  The sides and the
+min-cut DAG partition read off a maximum flow do not depend on which maximum
+flow the searches found.
 
 A pass that asks min(lambda(v, s), c) for many v in turn can stop each flow
 at the vertices already certified: if lambda(u, s) >= c for every u in a
 set C, then min(lambda(v, s), c) = min(lambda(v, C | {s}), c), and below c
-the minimal min-cut sides of (v, s) and (v, C | {s}) are the same set,
-because a v-s cut X of value < c avoids C (any u in X would give
-d+(X) >= lambda(u, s) >= c).  flow_state runs such a flow when it is given
-sinks, a bytearray marking s and C, and marks v when the flow reaches c.
-It takes the one-edge paths into the sinks before any search, which is
-exact because any set of edge-disjoint paths extends to a maximum flow.
+the (v, s)-cuts of value < c are exactly the (v, C | {s})-cuts of that
+value, because such a cut X avoids C (any u in X would give
+d+(X) >= lambda(u, s) >= c).  So the minimal and the latest min-cut sides
+of the two flows are the same sets.  flow_state runs such a flow when it is
+given sinks, a bytearray marking s and C, and marks v when the flow reaches
+c; without sinks it marks s alone, in a private bytearray.  It takes the
+one-edge paths into the marked vertices before any search, which is exact
+because any set of edge-disjoint paths extends to a maximum flow.
 """
 
 from __future__ import annotations
@@ -31,46 +33,63 @@ from .partitions import Partition
 
 
 class FlowState:
-    """A (source, sink)-flow held as path reversals on a private overlay.
+    """A (source, sink)-flow into the vertices marked in sinks, held as path
+    reversals on a private overlay.
 
     value equals the number of augmenting paths reversed, and the overlay
-    journal holds exactly the edges of those paths; a flow into sinks that
-    its one-edge paths alone take to its cap has no overlay (None).
+    journal holds exactly the edges of those paths; a flow that its one-edge
+    paths alone take to its cap has no overlay (None).
     """
 
-    __slots__ = ("overlay", "value", "source", "sink")
+    __slots__ = ("overlay", "value", "source", "sink", "sinks")
 
-    def __init__(self, overlay, value, source, sink):
+    def __init__(self, overlay, value, source, sink, sinks):
         self.overlay = overlay
         self.value = value
         self.source = source
         self.sink = sink
+        self.sinks = sinks
 
     # The readers below need a maximum flow: a flow below its cap is one.
-    # Their results do not depend on which maximum flow was found.
+    # Their results do not depend on which maximum flow was found, and below
+    # the cap they are those of the flow to the sink alone (module docstring).
 
     def minimal_side(self):
         """The inclusion-wise minimum min-cut side, as a frozenset: the
         residual reach of the source."""
-        return frozenset(self.overlay.bfs(self.source))
+        return frozenset(self.overlay.bfs([self.source]))
 
     def latest_side(self):
         """The inclusion-wise maximum min-cut side, as a frozenset:
-        everything that cannot reach the sink in the residual."""
-        blocked = set(self.overlay.bfs(self.sink, backward=True))
-        return frozenset(set(self.overlay.g.vertices()) - blocked)
+        everything that reaches no marked vertex in the residual.
+
+        Vertices marked after the flow ran lie outside it too: below the
+        cap no certified vertex lies in a min-cut side, and a vertex that
+        reaches one reaches a vertex marked when the flow ran.
+        """
+        ov = self.overlay
+        live = ov.g.vertices()
+        sinks = self.sinks
+        blocked = set(ov.bfs([x for x in live if sinks[x]], backward=True))
+        return frozenset(set(live) - blocked)
 
     def scc_partition(self):
         """The partition of the vertices into the strongly connected
         components of the residual graph, the min-cut DAG's nodes
-        (Picard-Queyranne).
+        (Picard-Queyranne), with everything outside the latest side L
+        under one key.
 
-        Needs g strongly connected.  Then the sink reaches every vertex in
-        the residual (along unsaturated edges, and backwards along flow
-        paths and cycles), so everything outside the latest side L, which
-        reaches the sink, is the sink's component, and L is closed under
-        residual successors: the components are read off L alone, with the
-        rest under one key.
+        Needs g strongly connected.  Then, for a flow to the sink alone,
+        the sink reaches every vertex in the residual (along unsaturated
+        edges, and backwards along flow paths and cycles), so everything
+        outside L is the sink's component and L is closed under residual
+        successors: the components are read off L alone.  A flow into
+        marked vertices has the same components inside L: cutting the flow
+        to the sink alone where each path first meets a marked vertex gives
+        a maximum flow into them that agrees with it on every edge inside L
+        (every edge leaving L is saturated and none entering L carries
+        flow), and residual components are the same for every maximum flow
+        of one network.
         """
         ov = self.overlay
         latest = self.latest_side()
@@ -80,14 +99,16 @@ class FlowState:
 
 
 def flow_state(g, src, dst, cap=None, sinks=None):
-    """Run augmenting-path max-flow from src to dst, up to cap units.
+    """Run augmenting-path max-flow from src into marked vertices, up to cap
+    units.
 
-    With sinks, a caller-owned bytearray over vertex slots that marks dst
-    and vertices certified at lambda(u, dst) >= cap, the flow runs into all
-    marked vertices (the lemma in the module docstring) and marks src when
-    it reaches cap; its value and, below cap, minimal_side are those of the
-    flow to dst alone, while latest_side and scc_partition are not.  When
-    the one-edge paths into marked vertices reach cap, no overlay is built.
+    sinks, when given, is a caller-owned bytearray over vertex slots that
+    marks dst and vertices certified at lambda(u, dst) >= cap; src is marked
+    in it when the flow reaches cap.  Without sinks, dst alone is marked.
+    Either way the value and, below cap, every reader of the FlowState are
+    those of the flow to dst alone (the lemma in the module docstring).
+    When the one-edge paths into marked vertices reach cap, no overlay is
+    built.
     """
     if src == dst:
         raise GraphError("source and sink must differ")
@@ -96,20 +117,13 @@ def flow_state(g, src, dst, cap=None, sinks=None):
     if cap is not None and cap < 1:
         raise GraphError("cap must be >= 1")
     if sinks is None:
-        ov = ReversalOverlay(g)
-        value = 0
-        while cap is None or value < cap:
-            path = ov.augmenting_path(src, dst)
-            if path is None:
-                break
-            ov.reverse_trusted(path)
-            value += 1
-        return FlowState(ov, value, src, dst)
-    if cap is None:
+        sinks = bytearray(g.n_slots())
+        sinks[dst] = 1
+    elif cap is None:
         raise GraphError("a flow into sinks needs a cap")
-    if not sinks[dst]:
+    elif not sinks[dst]:
         raise GraphError("sinks must mark the sink")
-    if sinks[src]:
+    elif sinks[src]:
         raise GraphError(f"source {src} is already marked in sinks")
     # the one-edge paths first, from one scan of src's out-list
     direct = list(islice((e for e in g.out_edges(src) if sinks[g.e_head[e]]),
@@ -117,10 +131,10 @@ def flow_state(g, src, dst, cap=None, sinks=None):
     value = len(direct)
     if value == cap:
         sinks[src] = 1
-        return FlowState(None, value, src, dst)
+        return FlowState(None, value, src, dst, sinks)
     ov = ReversalOverlay(g)
     ov.reverse_trusted(direct)
-    while value < cap:
+    while cap is None or value < cap:
         path = ov.path_into(src, sinks)
         if path is None:
             break
@@ -128,7 +142,7 @@ def flow_state(g, src, dst, cap=None, sinks=None):
         value += 1
     if value == cap:
         sinks[src] = 1
-    return FlowState(ov, value, src, dst)
+    return FlowState(ov, value, src, dst, sinks)
 
 
 def lambda_bounded(g, u, v, cap, sinks=None):

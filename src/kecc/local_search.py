@@ -57,7 +57,7 @@ def _check_ends(g, v, s):
         raise GraphError(f"start vertex {v} and root {s} must be live")
 
 
-def find_out_paths(ov, v, s, k, delta, budget=None):
+def find_out_paths(ov, v, s, k, delta):
     """Collect up to 2k tree paths from v, one of which must end outside any
     k-out set of volume <= delta separating v from s.
 
@@ -70,8 +70,7 @@ def find_out_paths(ov, v, s, k, delta, budget=None):
     _check_ends(ov.g, v, s)
     if k < 1 or delta < 1:
         raise GraphError("need k >= 1 and delta >= 1")
-    if budget is None:
-        budget = SearchBudget((2 * k + 1) * (delta + 1))
+    budget = SearchBudget((2 * k + 1) * (delta + 1))
     # frames: (adjacency iterator, incoming tree edge); adjacency is read
     # one entry per charged edge, never ahead of the budget
     stack = [(ov.succ(v), -1)]

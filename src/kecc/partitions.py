@@ -1,11 +1,12 @@
 """Vertex partitions: refinement algebra and the per-sample partition
 constructions used to separate vertices across large minimal out-sets.
 
-Every good partition comes from one entry point, good_partition(g, v, s, t),
-and one recursion on one (v, s)-flow per query.  The driver asks it at
-t = k+2 for every sampled vertex with lambda(v, s) <= k+1.  The paper's
-(k+3) refinement of one (k+2)-connected component is the same call at
-t = k+3, for lambda(v, s) in {k, k+1, k+2}; no driver runs it.
+Every good partition comes from one recursion, good_partition(fs, t), on
+the (v, s)-flow fs its caller ran, capped at t.  The driver asks it at
+t = k+2 for every sampled vertex with lambda(v, s) <= k+1, on a flow into
+the vertices it has certified at lambda(u, s) >= k+2.  The paper's (k+3)
+refinement of one (k+2)-connected component is the same call at t = k+3,
+for lambda(v, s) in {k, k+1, k+2}; no driver runs it.
 For a target connectivity t and a maximum flow of value lam < t: at
 lam = t-1 the partition is the strongly connected components of the residual
 graph, the min-cut DAG's nodes, read on the latest side alone (g is strongly
@@ -172,15 +173,32 @@ def ecc_naive(g, c):
 
 # -- good partitions ----------------------------------------------------------
 
-def _good_partition(g, s, t, fs):
-    """Good partition for target connectivity t from fs, a (v, s)-flow of
-    value lam < t and hence a maximum one; the recursion of the module
-    docstring.  A merged exit head whose flow does not exceed lam means the
-    contracted cut was not the latest one."""
+def good_partition(fs, t):
+    """Good partition of fs's graph at target connectivity t, the recursion
+    of the module docstring, from fs, a (v, s)-flow capped at t, into s
+    alone or into vertices certified at lambda(u, s) >= t as well.
+
+    Needs 1 <= lambda(v, s) < t, so that fs is a maximum flow, and the
+    graph strongly connected, which the contractions of the recursion keep.
+    It splits no pair of vertices that are mutually t-connected, and it
+    separates every ordinary u with v inside its minimal (t-1)-out set from
+    the vertices outside that set.  Each exit head x gets a flow into a copy
+    of fs.sinks with x, merged away, unmarked: contraction never lowers
+    lambda(u, s), and no marked vertex lies in the contracted latest side,
+    so the other marks stay certified.  A merged exit head whose flow does
+    not exceed lam means the contracted cut was not the latest one.
+    """
     from .flow import flow_state
-    lam = fs.value
+    lam, s = fs.value, fs.sink
+    if lam >= t:
+        raise GraphError(f"expected lambda({fs.source},{s}) below t={t}, "
+                         f"found >= {lam}")
+    if lam < 1:
+        raise GraphError(f"lambda({fs.source},{s})=0: graph is not strongly "
+                         "connected")
     if lam == t - 1:
         return fs.scc_partition()
+    g = fs.overlay.g
     universe = tuple(sorted(g.vertices()))
     latest = fs.latest_side()
     gz, z = contract(g, latest)
@@ -192,40 +210,22 @@ def _good_partition(g, s, t, fs):
         if x == s:
             continue
         gx, zx = contract(gz, {z, x})
-        fx = flow_state(gx, zx, s, t)
+        sinks = fs.sinks + bytearray(gx.n_slots() - len(fs.sinks))
+        sinks[x] = 0
+        fx = flow_state(gx, zx, s, t, sinks)
         if fx.value <= lam:
             raise GraphError("latest mincut violated: contracted connectivity "
                              f"{fx.value} not above {lam}")
         if fx.value < t:
             to_gx = {u: (zx if to_gz[u] in (z, x) else to_gz[u])
                      for u in universe}
-            parts.append(pull_back(_good_partition(gx, s, t, fx), to_gx,
-                                   universe))
+            parts.append(pull_back(good_partition(fx, t), to_gx, universe))
     # gz is private to this call, so z's out-edges are stripped in place once
     # the exit heads are done with it; the refinement ignores part order
     for e in cut_edges:
         gz.delete_edge(e)
     parts.append(pull_back(ecc_naive(gz, t - lam), to_gz, universe))
     return refine_many(parts)
-
-
-def good_partition(g, v, s, t):
-    """Good partition of g for the sampled vertex v and the root s at target
-    connectivity t, from one (v, s)-flow capped at t.
-
-    Needs 1 <= lambda(v, s) < t and g strongly connected, which the
-    contractions of the recursion keep.  It splits no pair of vertices that
-    are mutually t-connected, and it separates every ordinary u with v
-    inside its minimal (t-1)-out set from the vertices outside that set.
-    """
-    from .flow import flow_state
-    fs = flow_state(g, v, s, t)
-    if fs.value >= t:
-        raise GraphError(f"expected lambda({v},{s}) below t={t}, "
-                         f"found >= {fs.value}")
-    if fs.value < 1:
-        raise GraphError(f"lambda({v},{s})=0: graph is not strongly connected")
-    return _good_partition(g, s, t, fs)
 
 
 # not called here; perfbench's tracer wraps this name in this module

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import kecc.driver
 import kecc.partitions
 from kecc.digraph import AUXILIARY, Digraph, GraphError
 from kecc.flow import flow_state
@@ -201,23 +202,26 @@ def whole_residual(g, v, s):
 
 @contextmanager
 def strongly_connected_audit():
-    """Wrap partitions._good_partition, the good-partition recursion, so
-    that every graph it receives must be strongly connected: forward and
-    backward reach from the root s cover every live vertex.  The latest-side
-    reading of the min-cut DAG partition is exact only then.  Yields the
-    list of audited graph sizes."""
-    real = kecc.partitions._good_partition
+    """Wrap good_partition where it is looked up, in kecc.partitions for the
+    recursion and in kecc.driver, which binds the name at import, for the
+    top-level call, so that every graph it receives must be strongly
+    connected: forward and backward reach from the root s cover every live
+    vertex.  The latest-side reading of the min-cut DAG partition is exact
+    only then.  Yields the list of audited graph sizes."""
+    real = kecc.partitions.good_partition
     sizes = []
 
-    def audited(g, s, t, fs):
+    def audited(fs, t):
+        g, s = fs.overlay.g, fs.sink
         live = set(g.vertices())
         assert reach(lambda x: (y for _e, y in g.succ(x)), s) == live
         assert reach(lambda x: (y for _e, y in g.pred(x)), s) == live
         sizes.append(len(live))
-        return real(g, s, t, fs)
+        return real(fs, t)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kecc.partitions, "_good_partition", audited)
+        mp.setattr(kecc.partitions, "good_partition", audited)
+        mp.setattr(kecc.driver, "good_partition", audited)
         yield sizes
 
 

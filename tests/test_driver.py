@@ -13,7 +13,7 @@ from kecc.digraph import AUXILIARY, Digraph, GraphError, from_arcs, vol_of
 from kecc.decompose import decompose_kecc
 from kecc.driver import (compute_4ecc_prepared, compute_k2ecc,
                          compute_partition_single, sample_count)
-from kecc.flow import lambda_bounded
+from kecc.flow import flow_state, lambda_bounded
 from kecc.gen import (gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec,
                       sub_rng)
 from kecc.oracle import (BOTTOM, ecc_components, mset_oracle,
@@ -81,10 +81,10 @@ def test_empty_graph_is_rejected():
 
 
 def some_good_partition(g):
-    """good_partition(g, v, 0, lambda(v, 0) + 2) for the v least connected
-    to 0, which runs the recursion past its first cut."""
+    """The good partition at lambda(v, 0) + 2 for the v least connected to
+    0, which runs the recursion past its first cut."""
     lam, v = min((lambda_bounded(g, v, 0, 9), v) for v in g.vertices()[1:])
-    return good_partition(g, v, 0, lam + 2)
+    return good_partition(flow_state(g, v, 0, lam + 2), lam + 2)
 
 
 @pytest.mark.parametrize("run", [
@@ -210,7 +210,8 @@ def test_separation_attribution(rng):
             if u == s:
                 continue
             if k <= lambda_bounded(h, u, s, k + 2) <= k + 1:
-                sources.append(good_partition(h, u, s, k + 2))
+                fs = flow_state(h, u, s, k + 2)
+                sources.append(good_partition(fs, k + 2))
     ordinary = g.ordinary_vertices()
     for i, a in enumerate(ordinary):
         for b in ordinary[i + 1:]:
@@ -405,7 +406,8 @@ def test_one_flow_per_small_set_vertex(monkeypatch, mode, kernel, other):
     # each direction's small-set pass runs one flow into certified sinks per
     # vertex other than the root, and reads both lambda and, in exact mode,
     # the set off it; with no auxiliary vertex the sampling pass finds
-    # every tail's lambda cached
+    # every tail's lambda cached.  The only other flows are det mode's good
+    # partitions: one into the same sinks per sampled vertex below k+2
     calls = {kernel: [], other: []}
     for name, seen in calls.items():
         fn = getattr(drv, name)
@@ -418,5 +420,12 @@ def test_one_flow_per_small_set_vertex(monkeypatch, mode, kernel, other):
                 if v != 19} == {3, 4}
     compute_partition_single(h, 2, 0.2, mode, random.Random(0), s=19)
     assert len(calls[kernel]) == 2 * (h.n_live - 1)
-    assert not calls[other]
-    assert all(len(args) == 5 for args in calls[kernel])
+    assert all(len(args) == 5 for args in calls[kernel] + calls[other])
+    if mode == "exact":
+        assert not calls[other]
+    else:
+        assert calls[other]
+        assert len({(id(g), v) for g, v, *_ in calls[other]}) == len(
+            calls[other])
+        for g, v, s, cap, _sinks in calls[other]:
+            assert cap == 4 and lambda_bounded(g, v, s, cap) < cap

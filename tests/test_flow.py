@@ -91,7 +91,7 @@ def test_latest_boundary_reachability(rng):
                     if g.head(e) not in cut}
         sub, vmap = induced(g, cut)
         ov = ReversalOverlay(sub)
-        reach = set(ov.bfs(vmap[v]))
+        reach = set(ov.bfs([vmap[v]]))
         assert {vmap[b] for b in boundary} <= reach
 
 
@@ -106,7 +106,7 @@ def test_include_outgoing_edge(rng):
         cut = latest_mincut(g, v, s)
         lam = out_of(g, cut)
         sub, vmap = induced(g, cut)
-        reach_local = ReversalOverlay(sub).bfs(vmap[v])
+        reach_local = ReversalOverlay(sub).bfs([vmap[v]])
         inv = {b: a for a, b in vmap.items()}
         reach = {inv[x] for x in reach_local}
         exits = {g.head(e) for u in cut for e in g.out_edges(u)
@@ -302,19 +302,42 @@ def certified_passes(draw):
 @given(certified_passes())
 def test_certified_flows_match_flows_to_the_root(case):
     # flows into the root and the vertices certified before them give
-    # min(lambda(v, s), c) and, below c, v's minimal min-cut side; sinks
-    # gains exactly the sources whose flow reached c
+    # min(lambda(v, s), c) and, below c, the readers of the flow to the root
+    # alone, read after the pass has certified every vertex it will, as the
+    # driver reads them; sinks gains exactly the sources whose flow reached c
     g, s, cap, order = case
     sinks = sinks_of(g, s)
     certified = {s}
+    below = []
     for v in order:
         fs = flow_state(g, v, s, cap, sinks)
         assert fs.value == lambda_bounded(g, v, s, cap)
         if fs.value < cap:
-            assert fs.minimal_side() == minimal_mincut_side(g, v, s)
+            below.append(fs)
         else:
             certified.add(v)
         assert sinks == sinks_of(g, *certified)
+    for fs in below:
+        alone = flow_state(g, fs.source, s, cap)
+        assert fs.minimal_side() == alone.minimal_side()
+        assert fs.latest_side() == alone.latest_side()
+        # the graphs are strongly connected
+        assert fs.scc_partition() == alone.scc_partition()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(certified_passes())
+def test_good_partitions_of_certified_flows_match(case):
+    # a good partition read off a flow into certified sinks, whose exit
+    # heads inherit the marks, equals the one read off the flow to the root
+    # alone, at every lambda below t = c that the pass reaches
+    g, s, t, order = case
+    sinks = sinks_of(g, s)
+    below = [fs for fs in (flow_state(g, v, s, t, sinks) for v in order)
+             if fs.value < t]
+    for fs in below:
+        alone = flow_state(g, fs.source, s, t)
+        assert good_partition(fs, t) == good_partition(alone, t)
 
 
 def test_certified_flow_searches_only_past_one_edge_paths(monkeypatch):
@@ -369,11 +392,13 @@ def test_certified_flow_at_cap_builds_no_overlay(monkeypatch):
 
 
 def test_flow_reads_a_fraction_of_the_graph(monkeypatch):
-    # the two-sided search stops where the sides meet: a capped flow on a
-    # random 2-connected graph reads a small fraction of its m = 2400
-    # adjacency entries, where a one-sided search reads about all of them
+    # a pass of flows into the root and the vertices certified before them
+    # stops each search at the first marked vertex: on a random 2-connected
+    # graph a flow reads a small fraction of its m = 2400 adjacency entries,
+    # where one-sided searches to the root alone read about all of them
     read = [0]
     succ, pred = ReversalOverlay.succ, ReversalOverlay.pred
+    out_edges = Digraph.out_edges
 
     def counted(step):
         def walk(ov, x):
@@ -382,11 +407,18 @@ def test_flow_reads_a_fraction_of_the_graph(monkeypatch):
                 yield entry
         return walk
 
-    # the kernels read every adjacency entry through succ or pred
+    def scanned(g, x):
+        read[0] += len(g.out[x])
+        return out_edges(g, x)
+
+    # the kernels read every adjacency entry through succ or pred, and the
+    # one-edge paths are taken from one scan of the source's out-list
     monkeypatch.setattr(ReversalOverlay, "succ", counted(succ))
     monkeypatch.setattr(ReversalOverlay, "pred", counted(pred))
+    monkeypatch.setattr(Digraph, "out_edges", scanned)
     g = gen_random_kec(300, 2, 1800, 1)
-    flows = [flow_state(g, v, 0, 3) for v in range(1, 300)]
+    sinks = sinks_of(g, 0)
+    flows = [flow_state(g, v, 0, 3, sinks) for v in range(1, 300)]
     assert all(fs.value >= 2 for fs in flows)
     assert read[0] / len(flows) < g.m_live / 4
 
@@ -457,4 +489,5 @@ def test_scc_partition_matches_whole_residual(g):
             want = WholeResidual(fs).partition()
             assert fs.scc_partition() == want
             assert pq_graph(g, v, s) == want
-            assert good_partition(g, v, s, fs.value + 1) == want
+            t = fs.value + 1
+            assert good_partition(flow_state(g, v, s, t), t) == want

@@ -135,6 +135,25 @@ def test_cli_mset_rejects_bad_vertex(tmp_path, capsys):
         assert f"{flag} vertex {bad} is not live" in capsys.readouterr().err
 
 
+def test_cli_mset_rejects_bad_parameters_in_both_modes(tmp_path, capsys):
+    # checked before any search, naming the flag: det mode once rejected
+    # --k -1 while rand mode printed an empty result, and rand mode accepted
+    # --delta-budget 0
+    path = tmp_path / "b.gr"
+    main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",
+          str(path)])
+    for mode in ("det", "rand"):
+        for flags, named in ((["--k", "-1"], "--k"), (["--k", "0"], "--k"),
+                             (["--delta-budget", "0"], "--delta-budget"),
+                             (["--delta", "0"], "--delta"),
+                             (["--delta", "1"], "--delta")):
+            argv = ["mset", str(path), "--v", "7", "--s", "2", "--k", "2",
+                    "--mode", mode] + flags
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {named}"), err
+
+
 def test_cli_lambda_rejects_bad_vertex(tmp_path, capsys):
     # --from and --to are 1-based: 0 and ids past n are input errors
     path = tmp_path / "b.gr"

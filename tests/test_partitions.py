@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import kecc.flow
 import kecc.partitions
 from kecc.digraph import Digraph, GraphError, contract
-from kecc.flow import lambda_bounded
+from kecc.flow import flow_state, lambda_bounded
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn
 from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import (BOTTOM, ecc_components, latest_oracle, mset_oracle,
@@ -152,13 +152,13 @@ def test_ecc_naive_runs_every_flow_into_sinks(monkeypatch):
 
 def test_good_partition_full_cycle_singletons():
     g = gen_cyc(4, 1)
-    part = good_partition(g, 1, 0, 2)
+    part = good_partition(flow_state(g, 1, 0, 2), 2)
     assert part.n_blocks == 4
 
 
 def test_good_partition_full_k4():
     g = gen_kn(4)
-    part = good_partition(g, 1, 0, 4)
+    part = good_partition(flow_state(g, 1, 0, 4), 4)
     assert blocks_of(part) == [(0,), (1,), (2, 3)]
 
 
@@ -176,25 +176,25 @@ def _one_arc():
     ids=["kn4-t3", "kn5-t4", "lambda0"])
 def test_good_partition_rejects_lambda_out_of_range(make, t, match):
     with pytest.raises(GraphError, match=match):
-        good_partition(make(), 1, 0, t)
+        good_partition(flow_state(make(), 1, 0, t), t)
 
 
 def test_good_partition_deficient_blocks():
     g = gen_blocks(5, 5, 2)
-    part = good_partition(g, 6, 1, 4)
+    part = good_partition(flow_state(g, 6, 1, 4), 4)
     assert blocks_of(part) == [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
 
 
 def test_good_partition_deficient_head_is_root():
     # cut edge heading straight into the root is skipped
     g = gen_cyc(4, 1)
-    part = good_partition(g, 1, 0, 3)
+    part = good_partition(flow_state(g, 1, 0, 3), 3)
     assert blocks_of(part) == [(0,), (1, 2, 3)]
 
 
 def test_good_partition_deficient_planted_contract():
     g, v, s = planted_deficient()
-    part = good_partition(g, v, s, 4)
+    part = good_partition(flow_state(g, v, s, 4), 4)
     cluster = set(range(5, 10))
     for u in cluster:
         for w in range(5):
@@ -226,16 +226,16 @@ def test_good_partition_deficient_one_flow_per_exit_head(monkeypatch):
     # the component split runs its own pairwise flows; the oracle's runs none
     monkeypatch.setattr(kecc.flow, "flow_state", counted)
     monkeypatch.setattr(kecc.partitions, "ecc_naive", ecc_components)
-    part = good_partition(g, v, s, 4)
+    part = good_partition(kecc.flow.flow_state(g, v, s, 4), 4)
     assert flows[0] == 1 + len(heads)
     monkeypatch.undo()
-    assert part == good_partition(g, v, s, 4)
+    assert part == good_partition(flow_state(g, v, s, 4), 4)
 
 
 def test_good_partition_chain_at_lambda_one():
     # lambda(5, 0) = 1, three below the target t = 4
     g = gen_chain(2, 5, 1)
-    part = good_partition(g, 5, 0, 4)
+    part = good_partition(flow_state(g, 5, 0, 4), 4)
     for u in range(5):
         for w in range(5, 10):
             assert not part.same_block(u, w)
@@ -252,7 +252,7 @@ def test_good_k3_top_case_is_full():
     g = gen_blocks(5, 5, 4)  # out(B side) = 4 = k+2 for k=2
     assert lambda_bounded(g, 6, 1, 5) == 4
     want = whole_residual(g, 6, 1).partition()
-    assert good_partition(g, 6, 1, 2 + 3) == want
+    assert good_partition(flow_state(g, 6, 1, 2 + 3), 2 + 3) == want
 
 
 def test_good_k3_three_block_chain(monkeypatch):
@@ -261,7 +261,7 @@ def test_good_k3_three_block_chain(monkeypatch):
     v = 4  # second block; lambda(v, s) = 2 = k+1 for k=1
     assert lambda_bounded(g, v, s, 4) == 2
     calls = count_contractions(monkeypatch)
-    part = good_partition(g, v, s, 1 + 3)
+    part = good_partition(flow_state(g, v, s, 1 + 3), 1 + 3)
     for u in range(4, 12):
         for w in range(4):
             assert not part.same_block(u, w)
@@ -274,7 +274,7 @@ def test_good_k3_deficient_case():
     v = 4
     lam = lambda_bounded(g, v, s, 5)
     assert lam == 4 == 2 + 2
-    part = good_partition(g, v, s, 2 + 3)
+    part = good_partition(flow_state(g, v, s, 2 + 3), 2 + 3)
     # maintains (k+3)=5-connected pairs: within-block pairs are 3-connected
     # only, so nothing to preserve; the construction must separate the
     # blocks reachable only through the sampled side
@@ -294,7 +294,7 @@ def test_good_k3_merged_exit_head_below_k_plus_2():
         g.add_edge(u, w)
     k = 1
     assert lambda_bounded(g, 0, 3, k + 3) == k
-    part = good_partition(g, 0, 3, k + 3)
+    part = good_partition(flow_state(g, 0, 3, k + 3), k + 3)
     for a in range(4):
         for b in range(a + 1, 4):
             if mutually_connected(g, a, b, k + 3):
@@ -313,7 +313,7 @@ def test_good_k3_subgraph_budget(rng, monkeypatch):
         if not k <= lam <= k + 2:
             continue
         calls[0] = 0
-        good_partition(g, v, s, k + 3)
+        good_partition(flow_state(g, v, s, k + 3), k + 3)
         assert calls[0] <= 2 * (k + 2) ** 2
         done += 1
 
@@ -328,7 +328,7 @@ def test_good_partitions_never_split_connected_pairs(rng):
         k = rng.randrange(1, 3)
         if not k <= lambda_bounded(g, v, s, k + 2) <= k + 1:
             continue
-        part = good_partition(g, v, s, k + 2)
+        part = good_partition(flow_state(g, v, s, k + 2), k + 2)
         verts = sorted(g.vertices())
         for i, a in enumerate(verts):
             for b in verts[i + 1:]:
@@ -348,7 +348,7 @@ def test_good_partition_full_separation_contract(rng):
         k = rng.randrange(1, 3)
         if lambda_bounded(g, v, s, k + 2) != k + 1:
             continue
-        part = good_partition(g, v, s, k + 2)
+        part = good_partition(flow_state(g, v, s, k + 2), k + 2)
         for u in g.vertices():
             if u == s or lambda_bounded(g, u, s, k + 2) != k + 1:
                 continue

@@ -1,6 +1,6 @@
-"""Property tests of the overlay traversal kernel against brute-force
+"""Property tests of the overlay traversal kernels against brute-force
 reachability, on plain graphs and on lazily contracted ones, each with
-random paths reversed, and of the flows built on it against the oracle."""
+random paths reversed, and of the flows built on them against the oracle."""
 
 from __future__ import annotations
 
@@ -78,26 +78,34 @@ def assert_tree_path(ov, tree, src, dst):
 def test_reach_matches_brute_force(ov):
     for src in ov.g.vertices():
         for backward in (False, True):
-            queue = ov.bfs(src, backward)
+            queue = ov.bfs([src], backward)
             assert queue[0] == src and len(set(queue)) == len(queue)
             assert set(queue) == brute_reach(ov, src, backward)
 
 
 @PROPERTY
 @given(overlays(), st.data())
-def test_augmenting_path_matches_brute_force(ov, data):
-    src, dst = data.draw(st.lists(st.sampled_from(ov.g.vertices()),
-                                  min_size=2, max_size=2, unique=True))
-    # a malformed search tree would send the join round a cycle
-    path = step_limited(20000, ov.augmenting_path, src, dst)
-    assert (path is None) == (dst not in brute_reach(ov, src))
+def test_path_into_matches_brute_force(ov, data):
+    verts = ov.g.vertices()
+    src = data.draw(st.sampled_from(verts))
+    targets = data.draw(st.sets(
+        st.sampled_from([v for v in verts if v != src]), min_size=1))
+    marked = bytearray(ov.g.n_slots())
+    for x in targets:
+        marked[x] = 1
+    # a malformed search tree would send tree_path round a cycle
+    path = step_limited(20000, ov.path_into, src, marked)
+    assert (path is None) == targets.isdisjoint(brute_reach(ov, src))
     if path is not None:
         assert len(set(path)) == len(path)
         cur = src
         for e in path:
+            # the search stops at the first marked vertex it reaches
+            assert not marked[cur]
             assert ov.g.e_alive[e] and ov.tail(e) == cur
             cur = ov.head(e)
-        assert cur == dst
+        assert marked[cur]
+    dst = data.draw(st.sampled_from(sorted(targets)))
     cap = data.draw(st.integers(1, 4))
     fs = step_limited(20000, flow_state, ov.g, src, dst, cap)
     assert fs.value == lambda_oracle(ov.g, src, dst, cap)
@@ -114,7 +122,7 @@ def test_bounded_search_keeps_budget(ov, data):
     queue, tree, hit, count = ov.bounded_bfs(src, target, limit, scanned)
     assert count == len(scanned) <= limit
     assert len(set(scanned)) == count
-    full = ov.bfs(src)
+    full = ov.bfs([src])
     assert queue == full[:len(queue)]
     if hit:
         assert target in full
