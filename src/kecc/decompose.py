@@ -3,16 +3,16 @@ vertices are (k+1)-edge-connected, preserving (k+2)-edge-connectivity.
 
 Vertices are first grouped into classes by their minimal k-out set around a
 fixed root, with flows; a vertex inside a side already found is classified
-on that side's graph, so the flows cost the volume of the sets rather than
-the distance to the root.  A flow on the whole graph ends at the root or at
-any vertex already found (k+1)-connected to it: by the lemma in the flow
-module, cuts of value at most k avoid such vertices, so the value and the
-set are the same as for a flow to the root alone.  Classes are processed in
-an order consistent with set containment: each set is located again in the
-evolving graph by local search, with volume budgets doubling from the volume
-of the class itself, and contracted away, once eagerly into a standalone
-piece for the class just handled, once lazily in the evolving graph.  A
-second phase repeats the construction on the reverse of every piece.
+by a flow into the side's complement, so the flows cost the volume of the
+sets rather than the distance to the root.  A flow on the whole graph ends
+at the root or at any vertex already found (k+1)-connected to it: by the
+lemma in the flow module, cuts of value at most k avoid such vertices, so
+the value and the set are the same as for a flow to the root alone.  Classes
+are processed in an order consistent with set containment: each set is
+located again in the phase's graph by local search, with volume budgets
+doubling from the volume of the class itself, and contracted away, once
+eagerly into a standalone piece, once lazily in that graph itself.  A second
+phase repeats the construction on the reverse of every piece.
 """
 
 from __future__ import annotations
@@ -34,40 +34,27 @@ class DecompositionError(RuntimeError):
     would be wrong, so the run is aborted instead."""
 
 
-@dataclass
-class ProperOrder:
-    """Classes of vertices sharing one minimal k-out set, ordered so that a
-    class with a strictly smaller set comes first; the no-set class is last."""
-
-    classes: list  # (members ascending, frozenset k-out set | None), None last
-
-    def non_bottom(self):
-        return [(m, c) for (m, c) in self.classes if c is not None]
-
-
 def proper_order(g, s, k):
-    """Group vertices by their minimal k-out set avoiding s, in an order
-    consistent with containment of those sets.
+    """The classes of vertices sharing one minimal k-out set avoiding s, as
+    a list of (members ascending, the set as a frozenset), a class with a
+    strictly smaller set first; vertices at lambda(v, s) > k are in none.
 
     Sets are found by one max-flow capped at k+1 per vertex, read twice:
     its value is min(lambda(v, s), k+1) and, at lambda = k, the residual
-    reach of v is the set.  Each flow on g runs into s and the bottom
-    vertices found so far (those with lambda(u, s) >= k+1), which by the
-    lemma in the flow module gives the same value and set as a flow to s
-    alone.  A side of more than one vertex that a flow on g returns
-    classifies its later vertices at once, on its side graph (see
-    _classify_inside); the others take flows on g.  Equal cardinality rules
-    out strict containment, so ordering by (size, smallest member) is
-    always a valid proper order.
+    reach of v is the set.  Each flow on g runs into s and the vertices
+    found so far at lambda(u, s) >= k+1, which by the lemma in the flow
+    module gives the same value and set as a flow to s alone.  A side of
+    more than one vertex that such a flow returns classifies its later
+    vertices at once, by flows into its complement (see _classify_inside).
+    Equal cardinality rules out strict containment, so ordering by (size,
+    smallest member) is always a valid proper order.
     """
     by_set = {}
-    bottom = []
-    inside = {}  # later vertex -> (lambda, minimal side) from a side graph
+    inside = {}  # later vertex -> (lambda, minimal side) from an inside flow
     sinks = bytearray(g.n_slots())
     sinks[s] = 1
     for v in g.ordinary_vertices():
         if v == s:
-            bottom.append(v)
             continue
         lam, side = inside.pop(v, (None, None))
         if lam is None:
@@ -76,10 +63,9 @@ def proper_order(g, s, k):
             if lam == k:
                 side = fs.minimal_side()
                 if len(side) > 1:
-                    _classify_inside(g, side, v, k, inside)
+                    _classify_inside(g, side, v, s, k, inside)
         if lam > k:
-            sinks[v] = 1  # a side-graph flow marked its own sinks only
-            bottom.append(v)
+            sinks[v] = 1  # an inside flow marked the side's array only
             continue
         if lam < k:
             raise GraphError(
@@ -87,35 +73,34 @@ def proper_order(g, s, k):
         by_set.setdefault(side, []).append(v)
     classes = [(members, key) for key, members in by_set.items()]
     classes.sort(key=lambda mc: (len(mc[1]), min(mc[1])))
-    classes.append((bottom, None))
-    return ProperOrder(classes)
+    return classes
 
 
-def _classify_inside(g, side, v, k, inside):
+def _classify_inside(g, side, v, s, k, inside):
     """Record in inside the lambda and minimal side of every ordinary vertex
-    of v's minimal side that comes after v and is not yet recorded.
+    of v's minimal side S that comes after v and is not yet recorded.
 
-    Each is read on the side graph (side with its complement contracted),
-    from the vertex to the contracted complement, at a cost that follows
-    vol(side) instead of the distance to the root.  That is exact: any
-    (u, s)-cut T meets the side S in a cut with d+(T & S) <= d+(T), since
-    d+(T | S) >= k = d+(S) by submodularity, so lambda(u, s) and u's minimal
-    side are the same on the side graph as on g.  One capped flow per vertex
-    gives both, into the complement and the vertices already certified
-    (the lemma in the flow module).
+    Each is read by a flow on g into marks on every slot outside S, at a
+    cost that follows vol(S) instead of the distance to the root.  That is
+    exact: any (u, s)-cut T meets S in a cut with d+(T & S) <= d+(T), since
+    d+(T | S) >= lambda(v, s) = k = d+(S) by submodularity, and the cuts
+    inside S are those that separate u from the marks, with the same
+    out-degree.  So the value is min(lambda(u, s), k+1), and below the cap
+    the residual reach of u meets no mark and is u's unique minimal side.
+    A flow at the cap marks u for the later ones (the lemma in the flow
+    module).
     """
-    aux = contract_complement_reduced(g, side, k)
-    back = {new: old for old, new in aux.vmap.items()}
-    sinks = bytearray(aux.graph.n_slots())
-    sinks[aux.vbar] = 1
+    marks = bytearray(b"\x01") * g.n_slots()
+    for x in side:
+        marks[x] = 0
     cuts = {}  # equal sides share one frozenset while they wait in inside
     for u in sorted(side):
         if u <= v or g.kind[u] != ORDINARY or u in inside:
             continue
-        fs = flow_state(aux.graph, aux.vmap[u], aux.vbar, k + 1, sinks)
+        fs = flow_state(g, u, s, k + 1, marks)
         cut = None
         if fs.value == k:
-            cut = frozenset(back[x] for x in fs.minimal_side())
+            cut = fs.minimal_side()
             cut = cuts.setdefault(cut, cut)
         inside[u] = (fs.value, cut)
 
@@ -185,8 +170,9 @@ def _pull(orig, vmap, h):
 
 
 def _phase(g, orig, s, k, m0, mode, reps, rng, materialized=False):
-    """One phase: process classes in proper order on an evolving copy of g,
-    whose vertices have original ids orig.
+    """One phase: process classes in proper order on g, whose vertices have
+    original ids orig, contracting each found set in g itself; the phase
+    consumes g.
 
     Returns [(graph, orig, start)]: the side graph of each class, started at
     its contracted complement, then the materialized remainder, started at s.
@@ -195,20 +181,19 @@ def _phase(g, orig, s, k, m0, mode, reps, rng, materialized=False):
     Raises DecompositionError when a found set's ordinary vertices are not
     exactly its class.
     """
-    classes = proper_order(g, s, k).non_bottom()
+    classes = proper_order(g, s, k)
     if materialized and not classes:
         return [(g, list(orig), s)]
-    gev = g.copy()
     out = []
     for members, _cut in classes:
-        found = _find_min_out_set(gev, members, s, k, m0, mode, reps, rng)
-        if {u for u in found if gev.kind[u] == ORDINARY} != set(members):
+        found = _find_min_out_set(g, members, s, k, m0, mode, reps, rng)
+        if {u for u in found if g.kind[u] == ORDINARY} != set(members):
             raise DecompositionError(
                 f"set found for vertex {members[0]} is not its class")
-        aux = contract_complement_reduced(gev, found, k)
+        aux = contract_complement_reduced(g, found, k)
         out.append((aux.graph, _pull(orig, aux.vmap, aux.graph), aux.vbar))
-        gev.contract_lazy(found, min(found))
-    remainder, rmap = materialize(gev)
+        g.contract_lazy(found, min(found))
+    remainder, rmap = materialize(g)
     out.append((remainder, _pull(orig, rmap, remainder), rmap[s]))
     return out
 
@@ -241,6 +226,7 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
                     materialized=True)
     pieces = []
     for idx, (h, orig, start) in enumerate(phase1):
+        # nothing reads h again, so phase 2 contracts its reverse view
         phase2 = _phase(h.reversed(), orig, start, k, max(1, h.m_live), mode,
                         reps, rng)
         for jdx, (hh, sub_orig, _start) in enumerate(phase2):

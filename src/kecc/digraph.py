@@ -169,10 +169,11 @@ class Digraph:
         every array with this graph, vertex kinds and edge ids included, with
         the roles of tails and heads and of out- and in-lists exchanged.
 
-        Both graphs stay frozen while either is read; copy() the view
-        before changing it.  On a graph whose edge ids run in tail order
-        with ascending edge lists, as every output of materialize and
-        contract_complement_reduced, the view equals a rebuild of the
+        Changing the view in place changes the graph's arrays but not its
+        n_live and m_live: do it only when nothing reads the graph again,
+        and copy() the view otherwise.  On a graph whose edge ids run in
+        tail order with ascending edge lists, as every output of materialize
+        and contract_complement_reduced, the view equals a rebuild of the
         reverse array for array.
         """
         r = Digraph()

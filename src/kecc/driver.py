@@ -71,6 +71,7 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
         results[v] = _small_set_result(h, v, s, k, mode, search_delta,
                                        fail_prob, rng, lam_cache, sinks)
     sampled = {}
+    flows = {}  # the one flow of each tail the small-set pass skipped
     if mode != "exact" and m > 0:
         draws = sample_count(n_ord, delta, mode)
         if stats is not None:
@@ -84,7 +85,10 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
         sampled.pop(s, None)
         for v in sampled:
             if v not in lam_cache:
-                lam_cache[v] = lambda_bounded(h, v, s, k + 2, sinks)
+                fs = flow_state(h, v, s, k + 2, sinks)
+                lam_cache[v] = fs.value
+                if fs.value <= k + 1:
+                    flows[v] = fs  # later marks leave its readers unchanged
     if not low:
         for v, lam in lam_cache.items():
             if lam < k:
@@ -92,7 +96,8 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
                     f"lambda({v},{s})={lam} below k: graph is not "
                     f"{k}-edge-connected")
     parts = [partition_from_msets(results, universe, ordinary)]
-    parts += [good_partition(flow_state(h, v, s, k + 2, sinks), k + 2)
+    parts += [good_partition(flows.pop(v, None)
+                             or flow_state(h, v, s, k + 2, sinks), k + 2)
               for v in sampled if lam_cache[v] <= k + 1]
     return refine_many(parts)
 

@@ -10,7 +10,8 @@ import kecc.decompose as dc
 import kecc.flow
 from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
                             verify_decomposition)
-from kecc.digraph import GraphError, from_arcs, materialize, out_of, vol_of
+from kecc.digraph import (Digraph, GraphError, ReversalOverlay, from_arcs,
+                          materialize, out_of, vol_of)
 from kecc.flow import lambda_bounded, minimal_mincut_side
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
 from kecc.local_search import EMPTY, MSetResult
@@ -23,26 +24,21 @@ PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
 
 
 def test_proper_order_kn():
-    po = proper_order(gen_kn(6), 0, 3)
-    assert len(po.classes) == 1
-    assert po.classes[0][1] is None
-    assert po.classes[0][0] == list(range(6))
+    # every vertex is (k+1)-connected to the root, so no class
+    assert proper_order(gen_kn(6), 0, 3) == []
 
 
 def test_proper_order_blocks():
-    po = proper_order(gen_blocks(5, 5, 2), 1, 2)
-    assert [(m, sorted(c) if c else None) for m, c in po.classes] == [
-        ([5, 6, 7, 8, 9], [5, 6, 7, 8, 9]),
-        ([0, 1, 2, 3, 4], None),
-    ]
+    classes = proper_order(gen_blocks(5, 5, 2), 1, 2)
+    assert [(m, sorted(c)) for m, c in classes] == [
+        ([5, 6, 7, 8, 9], [5, 6, 7, 8, 9])]
 
 
 def test_proper_order_cycle_singletons():
-    po = proper_order(gen_cyc(5, 2), 0, 2)
-    non_bottom = po.non_bottom()
-    assert sorted(tuple(m) for m, _c in non_bottom) == \
+    classes = proper_order(gen_cyc(5, 2), 0, 2)
+    assert sorted(tuple(m) for m, _c in classes) == \
         [(1,), (2,), (3,), (4,)]
-    for members, cut in non_bottom:
+    for members, cut in classes:
         assert sorted(cut) == members
 
 
@@ -51,10 +47,9 @@ def test_proper_order_respects_containment(rng):
         n = rng.randrange(5, 11)
         k = rng.randrange(1, 3)
         g = gen_random_kec(n, k, rng.randrange(0, n), rng.randrange(10**6))
-        po = proper_order(g, 0, k)
-        non_bottom = po.non_bottom()
-        for i, (_m1, c1) in enumerate(non_bottom):
-            for _m2, c2 in non_bottom[:i]:
+        classes = proper_order(g, 0, k)
+        for i, (_m1, c1) in enumerate(classes):
+            for _m2, c2 in classes[:i]:
                 assert not c1 < c2
 
 
@@ -67,19 +62,16 @@ def test_proper_order_rejects_underconnected():
 def reference_order(g, s, k):
     """proper_order's classes from one pair of flows on g per vertex."""
     by_set = {}
-    bottom = []
     for v in g.ordinary_vertices():
         lam = k + 1 if v == s else lambda_bounded(g, v, s, k + 1)
         if lam > k:
-            bottom.append(v)
             continue
         if lam < k:
             raise GraphError(
                 f"graph is not {k}-edge-connected: lambda({v},{s})={lam}")
         by_set.setdefault(minimal_mincut_side(g, v, s), []).append(v)
-    classes = sorted(((m, c) for c, m in by_set.items()),
-                     key=lambda mc: (len(mc[1]), min(mc[1])))
-    return classes + [(bottom, None)]
+    return sorted(((m, c) for c, m in by_set.items()),
+                  key=lambda mc: (len(mc[1]), min(mc[1])))
 
 
 @st.composite
@@ -104,8 +96,9 @@ def order_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(order_cases())
 def test_proper_order_matches_whole_graph_flows(case):
-    # classifying inside a found side gives the classes, their order and the
-    # precondition error that whole-graph flows give
+    # classifying inside a found side, by flows on g into the marked
+    # complement of the side, gives the classes, their order and the
+    # precondition error that whole-graph flows into the root give
     g, s, k = case
     try:
         expected = reference_order(g, s, k)
@@ -114,46 +107,59 @@ def test_proper_order_matches_whole_graph_flows(case):
             proper_order(g, s, k)
         assert str(got.value) == str(exc)
     else:
-        assert proper_order(g, s, k).classes == expected
+        assert proper_order(g, s, k) == expected
 
 
-def recorded_flow_graphs(monkeypatch):
-    """The list that receives the graph of each flow that proper_order makes
-    from now on, on the whole graph and on side graphs, directly or through
-    the flow module's helpers; every one of them must run into certified
-    sinks."""
-    graphs = []
+def recorded_flows(monkeypatch):
+    """The list that receives (graph, marks, slots unmarked at the call) for
+    each flow that proper_order makes from now on, directly or through the
+    flow module's helpers; every one of them must run into marked sinks."""
+    flows = []
     flow_state = kecc.flow.flow_state
 
     def recorded(g, src, dst, cap=None, sinks=None):
         assert sinks is not None
-        graphs.append(g)
+        flows.append((g, sinks, {x for x, m in enumerate(sinks) if not m}))
         return flow_state(g, src, dst, cap, sinks)
 
     monkeypatch.setattr(dc, "flow_state", recorded)
     monkeypatch.setattr(kecc.flow, "flow_state", recorded)
-    return graphs
+    return flows
 
 
 def test_proper_order_flows_follow_blocks(monkeypatch):
-    # one whole-graph flow per block of 6, not one per vertex (179 before)
-    # and one flow into certified sinks per side-graph vertex, which reads
-    # both lambda and the minimal side
+    # one flow into the root's sinks per block of 6, not one per vertex (179
+    # before), and one flow per later vertex of a side, on g into the side's
+    # marked complement, which reads both lambda and the minimal side and
+    # expands no vertex outside the side
     g = gen_chain(30, 6, 1)
-    graphs = recorded_flow_graphs(monkeypatch)
+    flows = recorded_flows(monkeypatch)
+    expanded = []  # (index of the flow last started, vertex)
+    succ = ReversalOverlay.succ
+    monkeypatch.setattr(
+        ReversalOverlay, "succ",
+        lambda ov, x: expanded.append((len(flows) - 1, x)) or succ(ov, x))
     proper_order(g, 0, 2)
-    assert len(graphs) == 179
-    assert sum(h is g for h in graphs) <= 34
+    assert len(flows) == 179 and all(h is g for h, _m, _u in flows)
+    root = flows[0][1]
+    assert sum(marks is root for _h, marks, _u in flows) <= 34
+    side = {}  # id of a side's marks -> the slots its first flow left unmarked
+    for _h, marks, unmarked in flows:
+        side.setdefault(id(marks), unmarked)
+    inside = [(flows[i][1], x) for i, x in expanded if flows[i][1] is not root]
+    assert inside
+    assert [x for marks, x in inside if x not in side[id(marks)]] == []
 
 
 def test_proper_order_side_graph_keeps_precondition(monkeypatch):
-    # S = {1, 2} is vertex 1's minimal side; vertex 2 is checked on S's side
-    # graph and still fails lambda(2, 0) >= 2
+    # S = {1, 2} is vertex 1's minimal side; vertex 2 is checked by a flow on
+    # g into S's marked complement and still fails lambda(2, 0) >= 2
     g = from_arcs(3, [(0, 1, 2), (0, 2, 1), (1, 2, 2), (1, 0, 1), (2, 0, 1)])
-    graphs = recorded_flow_graphs(monkeypatch)
+    flows = recorded_flows(monkeypatch)
     with pytest.raises(GraphError, match=r"lambda\(2,0\)=1"):
         proper_order(g, 0, 2)
-    assert graphs[0] is g and graphs[-1] is not g
+    assert all(h is g for h, _m, _u in flows)
+    assert flows[-1][1] is not flows[0][1] and flows[-1][2] == {1, 2}
 
 
 def test_class_search_starts_at_volume_floor(monkeypatch):
@@ -175,12 +181,12 @@ def test_class_search_starts_at_volume_floor(monkeypatch):
 
 def test_phase_one_without_classes_returns_its_input():
     # phase 1 runs on materialize's output; with no class to contract, its
-    # remainder (that graph copied and materialized again) has the same
+    # remainder (that graph, left as it is, materialized again) has the same
     # arrays, so _phase returns the graph itself
     for g, k in [(gen_kn(6), 3), (gen_random_kec(40, 3, 160, 2), 2)]:
         base, _ = materialize(g)
         live = g.vertices()
-        assert not proper_order(base, 0, k).non_bottom()
+        assert not proper_order(base, 0, k)
         args = (base, live, 0, k, base.m_live, "det", 1, None)
         (skipped,) = dc._phase(*args, materialized=True)
         (built,) = dc._phase(*args)
@@ -191,6 +197,20 @@ def test_phase_one_without_classes_returns_its_input():
         # order, so materializing them renumbers the edges
         rev = base.reversed()
         assert arrays(materialize(rev)[0]) != arrays(rev)
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_decompose_copies_no_graph(monkeypatch, mode):
+    # each phase contracts the graph it is given in place: phase 1
+    # materialize's private output, phase 2 the reverse view of a phase-1
+    # output that nothing reads afterwards
+    copies = []
+    copy = Digraph.copy
+    monkeypatch.setattr(Digraph, "copy",
+                        lambda g: copies.append(g) or copy(g))
+    pieces = decompose_kecc(gen_chain(30, 6, 1), 2, 0.25, mode,
+                            random.Random(0))
+    assert len(pieces) == 30 and copies == []
 
 
 def test_decompose_kn_single_piece():
@@ -418,12 +438,11 @@ def test_persisting_out_sets_pull_back(rng):
         k = rng.randrange(1, 3)
         g = gen_random_kec(n, k, rng.randrange(0, n), rng.randrange(10**6))
         s = 0
-        po = proper_order(g, s, k)
-        non_bottom = po.non_bottom()
-        if not non_bottom:
+        classes = proper_order(g, s, k)
+        if not classes:
             continue
         gev = g.copy()
-        members, cut = non_bottom[0]
+        members, cut = classes[0]
         rep = min(cut)
         gev.contract_lazy(cut, rep)
         rep_of = {u: rep if u in cut else u for u in g.vertices()}
@@ -451,10 +470,10 @@ def test_minimal_in_out_sets_characterization(rng):
         bwd = proper_order(g.reversed(), s, k)
 
         def class_of(order, v):
-            for i, (members, _cut) in enumerate(order.classes):
+            for i, (members, _cut) in enumerate(order):
                 if v in members:
                     return i
-            raise AssertionError
+            return None  # lambda(v, s) > k, s included
 
         for u in range(n):
             for v in range(u + 1, n):

@@ -1,6 +1,7 @@
 """Single-graph driver and the end-to-end component pipeline."""
 
 import copy
+from collections import Counter
 import math
 import random
 
@@ -429,3 +430,29 @@ def test_one_flow_per_small_set_vertex(monkeypatch, mode, kernel, other):
             calls[other])
         for g, v, s, cap, _sinks in calls[other]:
             assert cap == 4 and lambda_bounded(g, v, s, cap) < cap
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_one_flow_per_auxiliary_tail(monkeypatch, mode):
+    # a sampled auxiliary tail, which the small-set pass skips, gets one
+    # flow per direction: the one that reads its lambda is the one its good
+    # partition reads.  The pieces of a block chain hold auxiliary vertices,
+    # contracted blocks, and some of them sit below k+2
+    flows = []
+    for name in ("flow_state", "lambda_bounded"):
+        fn = getattr(drv, name)
+        monkeypatch.setattr(
+            drv, name,
+            lambda g, v, *args, fn=fn: flows.append((g, v)) or fn(g, v, *args))
+    good = []
+    real_good = drv.good_partition
+    monkeypatch.setattr(
+        drv, "good_partition",
+        lambda fs, t: good.append(fs) or real_good(fs, t))
+    pieces = decompose_kecc(gen_chain(8, 6, 1), 2, 0.2, "det")
+    rng = random.Random(1)
+    for piece in pieces:
+        compute_partition_single(piece.graph, 2, 0.2, mode, rng)
+    aux = Counter((id(g), v) for g, v in flows if g.kind[v] == AUXILIARY)
+    assert aux and max(aux.values()) == 1
+    assert any(fs.overlay.g.kind[fs.source] == AUXILIARY for fs in good)
