@@ -14,9 +14,8 @@ from .flow import (FlowState, flow_state, lambda_bounded, latest_mincut,
 from .local_search import (EMPTY, MSetResult, SearchBudget, amplified_mset,
                            find_out_paths, local_search_mset,
                            randomized_local_search_mset)
-from . import partitions as _partitions
-from .partitions import (Partition, ecc_naive, partition_from_msets, refine,
-                         refine_many)
+from .partitions import (Partition, ecc_naive, good_partition,
+                         partition_from_msets, refine, refine_many)
 from .decompose import (DecompPiece, DecompositionError, decompose_kecc,
                         proper_order, verify_decomposition)
 from .driver import (compute_4ecc_prepared, compute_k2ecc,
@@ -25,13 +24,6 @@ from .gen import gen, gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec, su
 from .estimator import KPlusTwoComponents, PreparedFourComponents
 
 __version__ = "0.1.0"
-
-
-def good_partition(g, v, s, t):
-    """The good partition of g at target connectivity t for the vertex v and
-    the root s: kecc.partitions.good_partition of one (v, s)-flow capped at
-    t."""
-    return _partitions.good_partition(flow_state(g, v, s, t), t)
 
 
 __all__ = [

@@ -2,12 +2,13 @@
 vertices are (k+1)-edge-connected, preserving (k+2)-edge-connectivity.
 
 Vertices are first grouped into classes by their minimal k-out set around a
-fixed root, with flows; a vertex inside a side already found is classified
-by a flow into the side's complement, so the flows cost the volume of the
-sets rather than the distance to the root.  A flow on the whole graph ends
-at the root or at any vertex already found (k+1)-connected to it: by the
-lemma in the flow module, cuts of value at most k avoid such vertices, so
-the value and the set are the same as for a flow to the root alone.  Classes
+fixed root, with flows, in ascending order.  A flow that ends at the root or
+at any vertex already found (k+1)-connected to it gives the value and the
+set of a flow to the root alone: by the lemma in the flow module, cuts of
+value at most k avoid such vertices.  Right after such a flow finds a side,
+the side's later vertices are classified by flows into the side's
+complement, so those flows cost the volume of the side rather than the
+distance to the root, and nothing waits to be read later.  Classes
 are processed in an order consistent with set containment: each set is
 located again in the phase's graph by local search, with volume budgets
 doubling from the volume of the class itself, and contracted away, once
@@ -41,68 +42,60 @@ def proper_order(g, s, k):
 
     Sets are found by one max-flow capped at k+1 per vertex, read twice:
     its value is min(lambda(v, s), k+1) and, at lambda = k, the residual
-    reach of v is the set.  Each flow on g runs into s and the vertices
-    found so far at lambda(u, s) >= k+1, which by the lemma in the flow
-    module gives the same value and set as a flow to s alone.  A side of
-    more than one vertex that such a flow returns classifies its later
-    vertices at once, by flows into its complement (see _classify_inside).
-    Equal cardinality rules out strict containment, so ordering by (size,
-    smallest member) is always a valid proper order.
+    reach of v is the set.  Vertices are taken in ascending order.  Each
+    flow on g runs into s and the vertices found so far at
+    lambda(u, s) >= k+1, which by the lemma in the flow module gives the
+    same value and set as a flow to s alone.  When such a flow returns a
+    side S of more than one vertex, S's later unclassified vertices are
+    classified next, in ascending order, by flows on g into a bytearray
+    marking every slot outside S, at a cost that follows vol(S) instead of
+    the distance to the root.  That is exact: any (u, s)-cut T meets S in a
+    cut with d+(T & S) <= d+(T), since d+(T | S) >= lambda(v, s) = k = d+(S)
+    by submodularity, and the cuts inside S are those that separate u from
+    the marks, with the same out-degree.  So the value is
+    min(lambda(u, s), k+1), and below it the residual reach of u meets no
+    mark and is u's unique minimal side; since d+(S) = k, the value never
+    reaches the cap.  A value below k raises GraphError once every smaller
+    vertex is read, so the error names the smallest vertex below k, as
+    flows on g to s alone in ascending order would.  Equal cardinality
+    rules out strict containment, so ordering by (size, smallest member) is
+    always a valid proper order; equal keys keep the order of their
+    classes' smallest members.
     """
     by_set = {}
-    inside = {}  # later vertex -> (lambda, minimal side) from an inside flow
+    classified = set()
+    low = None  # (vertex, value): the smallest vertex read below k
     sinks = bytearray(g.n_slots())
     sinks[s] = 1
     for v in g.ordinary_vertices():
-        if v == s:
+        if low is not None and low[0] <= v:
+            break
+        if v == s or v in classified:
             continue
-        lam, side = inside.pop(v, (None, None))
-        if lam is None:
-            fs = flow_state(g, v, s, k + 1, sinks)
-            lam = fs.value
-            if lam == k:
-                side = fs.minimal_side()
-                if len(side) > 1:
-                    _classify_inside(g, side, v, s, k, inside)
-        if lam > k:
-            sinks[v] = 1  # an inside flow marked the side's array only
-            continue
-        if lam < k:
-            raise GraphError(
-                f"graph is not {k}-edge-connected: lambda({v},{s})={lam}")
-        by_set.setdefault(side, []).append(v)
+        work = [(v, sinks)]  # then one side's later vertices, smallest last
+        while work:
+            u, marks = work.pop()
+            fs = flow_state(g, u, s, k + 1, marks)
+            if fs.value < k and (low is None or u < low[0]):
+                low = (u, fs.value)
+            if fs.value != k:
+                continue
+            side = fs.minimal_side()
+            by_set.setdefault(side, []).append(u)
+            classified.add(u)
+            if marks is sinks and len(side) > 1:
+                complement = bytearray(b"\x01") * g.n_slots()
+                for x in side:
+                    complement[x] = 0
+                work += [(x, complement) for x in sorted(side, reverse=True)
+                         if x > u and g.kind[x] == ORDINARY
+                         and x not in classified]
+    if low is not None:
+        raise GraphError(f"graph is not {k}-edge-connected: "
+                         f"lambda({low[0]},{s})={low[1]}")
     classes = [(members, key) for key, members in by_set.items()]
-    classes.sort(key=lambda mc: (len(mc[1]), min(mc[1])))
+    classes.sort(key=lambda mc: (len(mc[1]), min(mc[1]), mc[0][0]))
     return classes
-
-
-def _classify_inside(g, side, v, s, k, inside):
-    """Record in inside the lambda and minimal side of every ordinary vertex
-    of v's minimal side S that comes after v and is not yet recorded.
-
-    Each is read by a flow on g into marks on every slot outside S, at a
-    cost that follows vol(S) instead of the distance to the root.  That is
-    exact: any (u, s)-cut T meets S in a cut with d+(T & S) <= d+(T), since
-    d+(T | S) >= lambda(v, s) = k = d+(S) by submodularity, and the cuts
-    inside S are those that separate u from the marks, with the same
-    out-degree.  So the value is min(lambda(u, s), k+1), and below the cap
-    the residual reach of u meets no mark and is u's unique minimal side.
-    A flow at the cap marks u for the later ones (the lemma in the flow
-    module).
-    """
-    marks = bytearray(b"\x01") * g.n_slots()
-    for x in side:
-        marks[x] = 0
-    cuts = {}  # equal sides share one frozenset while they wait in inside
-    for u in sorted(side):
-        if u <= v or g.kind[u] != ORDINARY or u in inside:
-            continue
-        fs = flow_state(g, u, s, k + 1, marks)
-        cut = None
-        if fs.value == k:
-            cut = fs.minimal_side()
-            cut = cuts.setdefault(cut, cut)
-        inside[u] = (fs.value, cut)
 
 
 @dataclass

@@ -26,8 +26,15 @@ def sample_count(n_ord, delta, mode):
     return math.ceil(math.sqrt(n_ord) * math.log2(base * n_ord / delta))
 
 
-def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng,
-                      lam_cache, sinks):
+def _check_value(lam, v, s, k, low):
+    """Raise GraphError for a value below k, unless low accepts it."""
+    if lam < k and not low:
+        raise GraphError(f"lambda({v},{s})={lam} below k: graph is not "
+                         f"{k}-edge-connected")
+
+
+def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng, sinks,
+                      low):
     """Small-pass search for the minimal (k+1)-out set of one vertex.
 
     sinks marks s and the vertices of this pass already found at
@@ -39,12 +46,12 @@ def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng,
     """
     if mode == "exact":
         fs = flow_state(h, v, s, k + 2, sinks)
-        lam_cache[v] = fs.value
+        _check_value(fs.value, v, s, k, low)
         if fs.value != k + 1:
             return EMPTY
         return MSetResult(fs.minimal_side())
     lam = lambda_bounded(h, v, s, k + 2, sinks)
-    lam_cache[v] = lam
+    _check_value(lam, v, s, k, low)
     if lam >= k + 2:
         return EMPTY
     if mode == "det":
@@ -61,17 +68,12 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
     if mode == "exact":
         search_delta = m
     fail_prob = delta / (4 * n_ord)  # per-vertex budget for amplification
-    lam_cache = {}
-    results = {}
     sinks = bytearray(h.n_slots())
     sinks[s] = 1
-    for v in ordinary:
-        if v == s:
-            continue
-        results[v] = _small_set_result(h, v, s, k, mode, search_delta,
-                                       fail_prob, rng, lam_cache, sinks)
-    sampled = {}
-    flows = {}  # the one flow of each tail the small-set pass skipped
+    results = {v: _small_set_result(h, v, s, k, mode, search_delta, fail_prob,
+                                    rng, sinks, low)
+               for v in ordinary if v != s}
+    parts = [partition_from_msets(results, universe, ordinary)]
     if mode != "exact" and m > 0:
         draws = sample_count(n_ord, delta, mode)
         if stats is not None:
@@ -84,21 +86,12 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
             for _ in range(draws))
         sampled.pop(s, None)
         for v in sampled:
-            if v not in lam_cache:
-                fs = flow_state(h, v, s, k + 2, sinks)
-                lam_cache[v] = fs.value
-                if fs.value <= k + 1:
-                    flows[v] = fs  # later marks leave its readers unchanged
-    if not low:
-        for v, lam in lam_cache.items():
-            if lam < k:
-                raise GraphError(
-                    f"lambda({v},{s})={lam} below k: graph is not "
-                    f"{k}-edge-connected")
-    parts = [partition_from_msets(results, universe, ordinary)]
-    parts += [good_partition(flows.pop(v, None)
-                             or flow_state(h, v, s, k + 2, sinks), k + 2)
-              for v in sampled if lam_cache[v] <= k + 1]
+            if sinks[v]:
+                continue  # certified at lambda(v, s) >= k+2
+            fs = flow_state(h, v, s, k + 2, sinks)
+            _check_value(fs.value, v, s, k, low)
+            if fs.value <= k + 1:
+                parts.append(good_partition(fs, k + 2))
     return refine_many(parts)
 
 

@@ -104,11 +104,13 @@ def flow_state(g, src, dst, cap=None, sinks=None):
 
     sinks, when given, is a caller-owned bytearray over vertex slots that
     marks dst and vertices certified at lambda(u, dst) >= cap; src is marked
-    in it when the flow reaches cap.  Without sinks, dst alone is marked.
-    Either way the value and, below cap, every reader of the FlowState are
-    those of the flow to dst alone (the lemma in the module docstring).
-    When the one-edge paths into marked vertices reach cap, no overlay is
-    built.
+    in it when the flow reaches cap.  Without sinks, dst alone is marked,
+    and each augmenting path is a forward search from src that may read
+    the whole graph before it meets dst, O(m) per path; the pipeline's
+    flows all pass sinks.  Either way the value and, below cap, every
+    reader of the FlowState are those of the flow to dst alone (the lemma
+    in the module docstring).  When the one-edge paths into marked vertices
+    reach cap, no overlay is built.
     """
     if src == dst:
         raise GraphError("source and sink must differ")
@@ -147,7 +149,8 @@ def flow_state(g, src, dst, cap=None, sinks=None):
 
 def lambda_bounded(g, u, v, cap, sinks=None):
     """min(lambda(u, v), cap) using at most cap augmentations, into sinks
-    as flow_state takes them."""
+    as flow_state takes them; without sinks each augmentation may search
+    the whole graph (see flow_state)."""
     return flow_state(g, u, v, cap, sinks).value
 
 

@@ -3,20 +3,23 @@ constructions used to separate vertices across large minimal out-sets.
 
 Every good partition comes from one recursion, good_partition(fs, t), on
 the (v, s)-flow fs its caller ran, capped at t.  The driver asks it at
-t = k+2 for every sampled vertex with lambda(v, s) <= k+1, on a flow into
-the vertices it has certified at lambda(u, s) >= k+2.  The paper's (k+3)
-refinement of one (k+2)-connected component is the same call at t = k+3,
-for lambda(v, s) in {k, k+1, k+2}; no driver runs it.
+t = k+2 for every sampled vertex with lambda(v, s) <= k+1, right after that
+vertex's flow into the vertices it has certified at lambda(u, s) >= k+2.
+The paper's (k+3) refinement of one (k+2)-connected component is the same
+call at t = k+3, for lambda(v, s) in {k, k+1, k+2}; no driver runs it.
 For a target connectivity t and a maximum flow of value lam < t: at
 lam = t-1 the partition is the strongly connected components of the residual
 graph, the min-cut DAG's nodes, read on the latest side alone (g is strongly
 connected, so the rest is the root's component); below that, the latest min
-cut is contracted into z, the (t-lam)-edge-connected components are taken
-with z's lam outgoing edges removed, and each exit head x != s is merged
-into z and gets one flow capped at t, whose value must exceed lam and, when
-it stays below t, drives the same recursion.  lam rises on every level, so
-the depth is at most t-lam, and the min-cut DAG and the latest min cut are
-the same for every maximum flow, so no flow is run twice.
+cut is contracted into z, each distinct exit head x != s of z's lam
+outgoing edges is merged into z and gets one flow capped at t, whose value
+must exceed lam and, when it stays below t, drives the same recursion right
+away, and then the (t-lam)-edge-connected components are taken with z's
+outgoing edges removed.  lam rises on every level, so the depth is at most
+t-lam, and the min-cut DAG and the latest min cut are the same for every
+maximum flow, so no flow is run twice.  Contraction keeps the ids of the
+vertices it does not merge, so each part is read back on g with every
+missing vertex in the block of the contracted one.
 """
 
 from __future__ import annotations
@@ -107,13 +110,6 @@ def refine_many(parts):
     return acc
 
 
-def pull_back(partition, mapping, universe):
-    """Partition of `universe` induced through a quotient map into the
-    partitioned graph: each vertex takes the block of its image."""
-    label = partition.label
-    return Partition.from_key(universe, lambda v: label[mapping[v]])
-
-
 def partition_from_msets(results, universe, ordinary):
     """Group ordinary vertices by their (found) minimal-set members.
 
@@ -182,11 +178,12 @@ def good_partition(fs, t):
     graph strongly connected, which the contractions of the recursion keep.
     It splits no pair of vertices that are mutually t-connected, and it
     separates every ordinary u with v inside its minimal (t-1)-out set from
-    the vertices outside that set.  Each exit head x gets a flow into a copy
-    of fs.sinks with x, merged away, unmarked: contraction never lowers
-    lambda(u, s), and no marked vertex lies in the contracted latest side,
-    so the other marks stay certified.  A merged exit head whose flow does
-    not exceed lam means the contracted cut was not the latest one.
+    the vertices outside that set.  Each distinct exit head x gets a flow
+    into a copy of fs.sinks with x, merged away, unmarked: contraction
+    never lowers lambda(u, s), and no marked vertex lies in the contracted
+    latest side, so the other marks stay certified.  A merged exit head
+    whose flow does not exceed lam means the contracted cut was not the
+    latest one.
     """
     from .flow import flow_state
     lam, s = fs.value, fs.sink
@@ -199,14 +196,10 @@ def good_partition(fs, t):
     if lam == t - 1:
         return fs.scc_partition()
     g = fs.overlay.g
-    universe = tuple(sorted(g.vertices()))
-    latest = fs.latest_side()
-    gz, z = contract(g, latest)
-    to_gz = {u: (z if u in latest else u) for u in universe}
+    gz, z = contract(g, fs.latest_side())
     cut_edges = list(gz.out_edges(z))
-    parts = []
-    for e in cut_edges:
-        x = gz.head(e)
+    parts = []  # (partition of a contracted graph, its contracted vertex)
+    for x in dict.fromkeys(gz.head(e) for e in cut_edges):
         if x == s:
             continue
         gx, zx = contract(gz, {z, x})
@@ -217,15 +210,18 @@ def good_partition(fs, t):
             raise GraphError("latest mincut violated: contracted connectivity "
                              f"{fx.value} not above {lam}")
         if fx.value < t:
-            to_gx = {u: (zx if to_gz[u] in (z, x) else to_gz[u])
-                     for u in universe}
-            parts.append(pull_back(good_partition(fx, t), to_gx, universe))
+            parts.append((good_partition(fx, t), zx))
     # gz is private to this call, so z's out-edges are stripped in place once
-    # the exit heads are done with it; the refinement ignores part order
+    # the exit heads are done with it
     for e in cut_edges:
         gz.delete_edge(e)
-    parts.append(pull_back(ecc_naive(gz, t - lam), to_gz, universe))
-    return refine_many(parts)
+    parts.append((ecc_naive(gz, t - lam), z))
+    # contraction keeps the survivors' ids: a vertex of g missing from a
+    # contracted graph is inside its contracted vertex
+    labels = [(p.label, p.label[rep]) for p, rep in parts]
+    return Partition.from_key(
+        g.vertices(), lambda u: tuple(label.get(u, at_rep)
+                                      for label, at_rep in labels))
 
 
 # not called here; perfbench's tracer wraps this name in this module

@@ -10,10 +10,10 @@ import pytest
 
 import kecc.driver
 import kecc.partitions
-from kecc.digraph import AUXILIARY, Digraph, GraphError
+from kecc.digraph import AUXILIARY, Digraph, GraphError, contract
 from kecc.flow import flow_state
 from kecc.local_search import SearchBudget
-from kecc.partitions import Partition
+from kecc.partitions import Partition, ecc_naive, refine_many
 
 
 def singletons(universe):
@@ -198,6 +198,46 @@ class WholeResidual:
 def whole_residual(g, v, s):
     """The WholeResidual of an uncapped (v, s)-flow."""
     return WholeResidual(flow_state(g, v, s))
+
+
+def good_partition_by_maps(fs, t):
+    """The good partition read the way it was before contraction was relied
+    on to keep survivor ids: one exit-head flow and recursion per cut edge,
+    repeated heads included, and every part pulled back onto g through an
+    explicit map from each vertex of g to its image in the contracted
+    graph."""
+    lam, s = fs.value, fs.sink
+    assert 1 <= lam < t
+    if lam == t - 1:
+        return fs.scc_partition()
+    g = fs.overlay.g
+    universe = tuple(sorted(g.vertices()))
+
+    def pull_back(part, image):
+        return Partition.from_key(universe, lambda u: part.label[image[u]])
+
+    latest = fs.latest_side()
+    gz, z = contract(g, latest)
+    to_gz = {u: (z if u in latest else u) for u in universe}
+    cut_edges = list(gz.out_edges(z))
+    parts = []
+    for e in cut_edges:
+        x = gz.head(e)
+        if x == s:
+            continue
+        gx, zx = contract(gz, {z, x})
+        sinks = fs.sinks + bytearray(gx.n_slots() - len(fs.sinks))
+        sinks[x] = 0
+        fx = flow_state(gx, zx, s, t, sinks)
+        assert fx.value > lam
+        if fx.value < t:
+            to_gx = {u: (zx if to_gz[u] in (z, x) else to_gz[u])
+                     for u in universe}
+            parts.append(pull_back(good_partition_by_maps(fx, t), to_gx))
+    for e in cut_edges:
+        gz.delete_edge(e)
+    parts.append(pull_back(ecc_naive(gz, t - lam), to_gz))
+    return refine_many(parts)
 
 
 @contextmanager

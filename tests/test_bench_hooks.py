@@ -8,10 +8,18 @@ import random
 import sys
 from pathlib import Path
 
-from kecc import compute_k2ecc, gen_random_kec
+import pytest
+
+from kecc import compute_k2ecc, gen_random_kec, sub_rng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+# per workload, the smallest seed-1 suite graph on which every span of its
+# must_fire list fires: (suite index, 0 for the main graph or 1 for its
+# half-size companion)
+FIRING_GRAPH = {"rk-rand": (11, 1), "chain-rand": (0, 1), "rk-exact": (0, 1)}
 
 
 def test_tracer_installs_and_restores_every_span():
@@ -42,3 +50,20 @@ def test_traced_exact_call_fires_flow_state_and_not_the_gate():
     assert got == compute_k2ecc(g, 2, 0.25, "exact")
     assert trace.spans["flow.flow_state"][0] > 0
     assert trace.spans["flow.lambda_bounded.gate"][0] == 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_spans_fire_as_listed(name):
+    # a traced benchmark run fails when a must_fire span reads 0 calls or a
+    # must_not_fire span reads more; one call on one suite graph, with the
+    # rng stream perfbench/run.py gives it, shows both lists hold
+    w = workloads.WORKLOADS[name]
+    index, which = FIRING_GRAPH[name]
+    graph = w.suite(1)[index][which].graph
+    rng = (sub_rng(f"1/{index}", "perfbench-components")
+           if w.mode == "rand" else None)
+    trace = tracer.Trace()
+    trace.call(compute_k2ecc, graph, workloads.K, w.delta, w.mode, rng)
+    assert w.must_fire
+    assert [span for span in w.must_fire if not trace.spans[span][0]] == []
+    assert [span for span in w.must_not_fire if trace.spans[span][0]] == []

@@ -14,7 +14,8 @@ import random
 import pytest
 
 from kecc import (compute_4ecc_prepared, compute_k2ecc, decompose_kecc,
-                  gen_chain, gen_random_kec, good_partition, lambda_bounded)
+                  flow_state, gen_chain, gen_random_kec, good_partition,
+                  lambda_bounded)
 from kecc.digraph import Digraph, ReversalOverlay, contract, materialize
 from kecc.oracle import ecc_components, mutually_connected
 
@@ -52,9 +53,9 @@ LOW_DIGESTS = {
     "rk": "31f4e8b9d10b92e72a086419796d451b5857cd820a4df11176edc228ea0e7319",
 }
 
-# good_partition(g, v, s, k + 3) over k3_cases(), the (k+3) refinement; on
-# the cases listed in K3_NOT_PINNED an earlier version raised GraphError, so
-# only the others are pinned
+# good_partition(flow_state(g, v, s, k + 3), k + 3) over k3_cases(), the
+# (k+3) refinement; on the cases listed in K3_NOT_PINNED an earlier version
+# raised GraphError, so only the others are pinned
 K3_DIGEST = "f9bc75791f04844923c4847ea9493c8ef520612712becac316990ebf0409435c"
 K3_NOT_PINNED = (25, 66, 147, 152, 229, 252, 266, 272, 279, 283, 285, 291,
                  303, 310, 325, 341, 344, 387, 398, 438, 482, 483, 509, 571)
@@ -226,7 +227,7 @@ def test_good_partition_k3_byte_stable():
     rows = []
     for i, (g, v, s, k) in enumerate(k3_cases()):
         if i not in K3_NOT_PINNED:
-            part = good_partition(g, v, s, k + 3)
+            part = good_partition(flow_state(g, v, s, k + 3), k + 3)
             rows.append([i, [part.label[u] for u in part.universe]])
     assert _digest(rows) == K3_DIGEST
 
@@ -236,7 +237,7 @@ def test_good_partition_k3_unpinned_cases_split_no_connected_pair():
     checked = 0
     for i in K3_NOT_PINNED:
         g, v, s, k = cases[i]
-        part = good_partition(g, v, s, k + 3)
+        part = good_partition(flow_state(g, v, s, k + 3), k + 3)
         verts = sorted(g.vertices())
         for j, a in enumerate(verts):
             for b in verts[j + 1:]:
