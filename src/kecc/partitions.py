@@ -196,9 +196,17 @@ def good_partition(fs, t):
     if lam == t - 1:
         return fs.scc_partition()
     g = fs.overlay.g
+    universe = g.vertices()
+
+    def on_g(part, rep):
+        # contraction keeps the survivors' ids: a vertex of g missing from
+        # the contracted graph is inside its contracted vertex rep
+        label, at_rep = part.label, part.label[rep]
+        return Partition.from_key(universe, lambda u: label.get(u, at_rep))
+
     gz, z = contract(g, fs.latest_side())
     cut_edges = list(gz.out_edges(z))
-    parts = []  # (partition of a contracted graph, its contracted vertex)
+    parts = []
     for x in dict.fromkeys(gz.head(e) for e in cut_edges):
         if x == s:
             continue
@@ -210,18 +218,13 @@ def good_partition(fs, t):
             raise GraphError("latest mincut violated: contracted connectivity "
                              f"{fx.value} not above {lam}")
         if fx.value < t:
-            parts.append((good_partition(fx, t), zx))
+            parts.append(on_g(good_partition(fx, t), zx))
     # gz is private to this call, so z's out-edges are stripped in place once
-    # the exit heads are done with it
+    # the exit heads are done with it; the refinement ignores part order
     for e in cut_edges:
         gz.delete_edge(e)
-    parts.append((ecc_naive(gz, t - lam), z))
-    # contraction keeps the survivors' ids: a vertex of g missing from a
-    # contracted graph is inside its contracted vertex
-    labels = [(p.label, p.label[rep]) for p, rep in parts]
-    return Partition.from_key(
-        g.vertices(), lambda u: tuple(label.get(u, at_rep)
-                                      for label, at_rep in labels))
+    parts.append(on_g(ecc_naive(gz, t - lam), z))
+    return refine_many(parts)
 
 
 # not called here; perfbench's tracer wraps this name in this module
