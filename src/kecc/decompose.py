@@ -2,18 +2,22 @@
 vertices are (k+1)-edge-connected, preserving (k+2)-edge-connectivity.
 
 Vertices are first grouped into classes by their minimal k-out set around a
-fixed root, with flows, in ascending order.  A flow that ends at the root or
-at any vertex already found (k+1)-connected to it gives the value and the
-set of a flow to the root alone: by the lemma in the flow module, cuts of
-value at most k avoid such vertices.  Right after such a flow finds a side,
-the side's later vertices are classified by flows into the side's
-complement, so those flows cost the volume of the side rather than the
-distance to the root, and nothing waits to be read later.  Classes
-are processed in an order consistent with set containment: each set is
-located again in the phase's graph by local search, with volume budgets
-doubling from the volume of the class itself, and contracted away, once
-eagerly into a standalone piece, once lazily in that graph itself.  A second
-phase repeats the construction on the reverse of every piece.
+fixed root, with flows, in ascending order.  Each flow runs into the root
+and every vertex already found at lambda >= k to it, so on a ring of k-out
+sets it stops at the nearest block already read.  Below k its value is the
+lambda to the root, by the lemma in the flow module at cap k; at k its
+residual reach is the minimal side; a flow that reaches k+1 stands when its
+paths end at vertices found at lambda >= k+1 (the lemma at cap k+1) and is
+run again into those alone otherwise.  proper_order gives the argument.
+Right after such a flow finds a side, the side's later vertices are
+classified by flows into the side's complement, so those flows cost the
+volume of the side rather than the distance to the root, and nothing waits
+to be read later.  Classes are processed in an order consistent with set
+containment: each set is located again in the phase's graph by local
+search, with volume budgets doubling from the volume of the class itself,
+and contracted away, once eagerly into a standalone piece, once lazily in
+that graph itself.  A second phase repeats the construction on the reverse
+of every piece.
 """
 
 from __future__ import annotations
@@ -40,42 +44,67 @@ def proper_order(g, s, k):
     a list of (members ascending, the set as a frozenset), a class with a
     strictly smaller set first; vertices at lambda(v, s) > k are in none.
 
-    Sets are found by one max-flow capped at k+1 per vertex, read twice:
-    its value is min(lambda(v, s), k+1) and, at lambda = k, the residual
-    reach of v is the set.  Vertices are taken in ascending order.  Each
-    flow on g runs into s and the vertices found so far at
-    lambda(u, s) >= k+1, which by the lemma in the flow module gives the
-    same value and set as a flow to s alone.  When such a flow returns a
-    side S of more than one vertex, S's later unclassified vertices are
-    classified next, in ascending order, by flows on g into a bytearray
-    marking every slot outside S, at a cost that follows vol(S) instead of
-    the distance to the root.  That is exact: any (u, s)-cut T meets S in a
-    cut with d+(T & S) <= d+(T), since d+(T | S) >= lambda(v, s) = k = d+(S)
-    by submodularity, and the cuts inside S are those that separate u from
-    the marks, with the same out-degree.  So the value is
-    min(lambda(u, s), k+1), and below it the residual reach of u meets no
-    mark and is u's unique minimal side; since d+(S) = k, the value never
-    reaches the cap.  A value below k raises GraphError once every smaller
-    vertex is read, so the error names the smallest vertex below k, as
-    flows on g to s alone in ascending order would.  Equal cardinality
-    rules out strict containment, so ordering by (size, smallest member) is
-    always a valid proper order; equal keys keep the order of their
-    classes' smallest members.
+    Sets are found by a max-flow capped at k+1 per vertex, read twice: its
+    value is min(lambda(v, s), k+1) and, at lambda = k, the residual reach
+    of v is the set.  Vertices are taken in ascending order.  Two
+    bytearrays mark what is proven so far: sinks marks s and the vertices
+    found at lambda(u, s) >= k+1, proven marks s and every vertex found at
+    lambda(u, s) >= k, those classified inside a side included.  Each flow
+    on g runs into proven, so on a ring of k-out sets it stops at the
+    nearest block already read instead of crossing the ring to s.  Its
+    value x is read in three cases, each exact:
+
+    - x < k: by the lemma in the flow module at cap k, x = lambda(u, s).
+    - x = k: by the same lemma lambda(u, s) >= k, and the residual reach R
+      of u avoids every mark with d+(R) = k, so lambda(u, s) = k.  The
+      minimal (u, s)-side M has d+(M & R) + d+(M | R) <= 2k by
+      submodularity, so d+(M & R) = k and, M being minimal, M lies inside
+      R and avoids every mark; R is the minimal side of the flow into
+      proven and M is one of its value, so R = M, the set.
+    - x = k+1: lambda(u, s) >= k.  If every path of the flow ends at a
+      vertex marked in sinks, the paths are a flow into sinks, and the
+      lemma at cap k+1 gives lambda(u, s) >= k+1; otherwise the flow into
+      sinks alone is run and read in place of it.  While no vertex sits at
+      lambda = k, sinks and proven mark the same set and the check is
+      skipped.
+
+    When a flow returns a side S of more than one vertex, S's later
+    unclassified vertices are classified next, in ascending order, by flows
+    on g into a bytearray marking every slot outside S, at a cost that
+    follows vol(S) instead of the distance to the root.  That is exact:
+    any (u, s)-cut T meets S in a cut with d+(T & S) <= d+(T), since
+    d+(T | S) >= lambda(v, s) = k = d+(S) by submodularity, and the cuts
+    inside S are those that separate u from the marks, with the same
+    out-degree.  So the value is min(lambda(u, s), k+1), and below it the
+    residual reach of u meets no mark and is u's unique minimal side;
+    since d+(S) = k, the value never reaches the cap.  A value below k
+    raises GraphError once every smaller vertex is read, so the error names
+    the smallest vertex below k, as flows on g to s alone in ascending
+    order would.  Equal cardinality rules out strict containment, so
+    ordering by (size, smallest member) is always a valid proper order;
+    equal keys keep the order of their classes' smallest members.
     """
     by_set = {}
     classified = set()
     low = None  # (vertex, value): the smallest vertex read below k
     sinks = bytearray(g.n_slots())
     sinks[s] = 1
+    proven = sinks[:]
+    at_k = False  # whether proven marks a vertex that sinks does not
     for v in g.ordinary_vertices():
         if low is not None and low[0] <= v:
             break
         if v == s or v in classified:
             continue
-        work = [(v, sinks)]  # then one side's later vertices, smallest last
+        work = [(v, proven)]  # then one side's later vertices, smallest last
         while work:
             u, marks = work.pop()
             fs = flow_state(g, u, s, k + 1, marks)
+            if fs.value > k and marks is proven:
+                if at_k and not _ends_marked(g, fs, sinks):
+                    fs = flow_state(g, u, s, k + 1, sinks)
+                else:
+                    sinks[u] = 1
             if fs.value < k and (low is None or u < low[0]):
                 low = (u, fs.value)
             if fs.value != k:
@@ -83,7 +112,9 @@ def proper_order(g, s, k):
             side = fs.minimal_side()
             by_set.setdefault(side, []).append(u)
             classified.add(u)
-            if marks is sinks and len(side) > 1:
+            proven[u] = 1
+            at_k = True
+            if marks is proven and len(side) > 1:
                 complement = bytearray(b"\x01") * g.n_slots()
                 for x in side:
                     complement[x] = 0
@@ -96,6 +127,20 @@ def proper_order(g, s, k):
     classes = [(members, key) for key, members in by_set.items()]
     classes.sort(key=lambda mc: (len(mc[1]), min(mc[1]), mc[0][0]))
     return classes
+
+
+def _ends_marked(g, fs, marks):
+    """Whether every path of a flow at its cap ends at a vertex marked in
+    marks.  The paths end at the flow's marked vertices with a flipped edge,
+    all of them entering, since no search expands a marked vertex; a flow
+    without an overlay is its first one-edge paths."""
+    u, sinks = fs.source, fs.sinks
+    if fs.overlay is None:
+        heads = map(g.e_head.__getitem__, g.out[u])
+        ends = [x for x in heads if sinks[x] and x != u][:fs.value]
+    else:
+        ends = [x for x in fs.overlay.dirty if sinks[x] and x != u]
+    return all(map(marks.__getitem__, ends))
 
 
 @dataclass

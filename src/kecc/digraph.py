@@ -151,15 +151,21 @@ class Digraph:
 
     # -- whole-graph operations --------------------------------------------
 
-    def copy(self):
+    def copy(self, shared=()):
+        """A copy of the graph.  The vertices in shared keep this graph's
+        edge lists themselves, for a caller that only rebinds them, as
+        contract_lazy does with the lists of the set it contracts."""
         g = Digraph()
         g.kind = self.kind[:]
         g.v_alive = self.v_alive[:]
         g.e_tail = self.e_tail[:]
         g.e_head = self.e_head[:]
         g.e_alive = self.e_alive[:]
-        g.out = [ids[:] for ids in self.out]
-        g.inn = [ids[:] for ids in self.inn]
+        g.out, g.inn = self.out[:], self.inn[:]
+        for v in range(len(self.kind)):
+            if v not in shared:
+                g.out[v] = g.out[v][:]
+                g.inn[v] = g.inn[v][:]
         g.n_live = self.n_live
         g.m_live = self.m_live
         return g
@@ -502,10 +508,11 @@ def contract(g, members):
     """Contract a vertex set of a copy of g into one new auxiliary vertex.
 
     Returns (copy, contracted vertex): the copy gets a new vertex z, and
-    contract_lazy merges the set into it.  Survivors keep their ids, so
-    partitions computed on the result pull back by identity.  The result
-    keeps g's edge ids and dead slots too; materialize it before writing it
-    to a file.
+    contract_lazy merges the set into it; the copy shares the set's edge
+    lists with g until contract_lazy rebinds them, so only the survivors'
+    lists are copied.  Survivors keep their ids, so partitions computed on
+    the result pull back by identity.  The result keeps g's edge ids and
+    dead slots too; materialize it before writing it to a file.
     """
     memb = set(members)
     if not memb:
@@ -515,7 +522,7 @@ def contract(g, members):
             raise GraphError(f"vertex {u} is not live")
     if len(memb) == g.n_live:
         raise GraphError("cannot contract the whole vertex set")
-    h = g.copy()
+    h = g.copy(memb)
     z = h.add_vertex(AUXILIARY)
     memb.add(z)
     h.contract_lazy(memb, z)

@@ -22,6 +22,11 @@ given sinks, a bytearray marking s and C, and marks v when the flow reaches
 c; without sinks it marks s alone, in a private bytearray.  It takes the
 one-edge paths into the marked vertices before any search, which is exact
 because any set of edge-disjoint paths extends to a maximum flow.
+
+The lemma holds at every c.  decompose.proper_order uses it at c = k and
+at c = k+1: its flows, capped at k+1, run into the vertices proven at
+lambda >= k, and a flow that reaches k+1 is read against those at
+lambda >= k+1.
 """
 
 from __future__ import annotations
@@ -103,14 +108,15 @@ def flow_state(g, src, dst, cap=None, sinks=None):
     units.
 
     sinks, when given, is a caller-owned bytearray over vertex slots that
-    marks dst and vertices certified at lambda(u, dst) >= cap; src is marked
-    in it when the flow reaches cap.  Without sinks, dst alone is marked,
-    and each augmenting path is a forward search from src that may read
-    the whole graph before it meets dst, O(m) per path; the pipeline's
-    flows all pass sinks.  Either way the value and, below cap, every
-    reader of the FlowState are those of the flow to dst alone (the lemma
-    in the module docstring).  When the one-edge paths into marked vertices
-    reach cap, no overlay is built.
+    marks dst and vertices certified at lambda(u, dst) >= c, where c is cap
+    or, in decompose.proper_order's flows into the vertices proven at
+    lambda >= k, cap - 1; src is marked in it when the flow reaches cap.
+    Without sinks, dst alone is marked, and each augmenting path is a
+    forward search from src that may read the whole graph before it meets
+    dst, O(m) per path; the pipeline's flows all pass sinks.  Either way,
+    below c, the value and every reader of the FlowState are those of the
+    flow to dst alone (the lemma in the module docstring).  When the
+    one-edge paths into marked vertices reach cap, no overlay is built.
     """
     if src == dst:
         raise GraphError("source and sink must differ")

@@ -93,33 +93,47 @@ def order_cases(draw):
     return g, draw(st.sampled_from(g.vertices())), draw(st.integers(1, 3))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(order_cases())
-def test_proper_order_matches_whole_graph_flows(case):
-    # classifying inside a found side, by flows on g into the marked
-    # complement of the side, gives the classes, their order and the
-    # precondition error that whole-graph flows into the root give
-    g, s, k = case
-    try:
-        expected = reference_order(g, s, k)
-    except GraphError as exc:
-        with pytest.raises(GraphError) as got:
-            proper_order(g, s, k)
-        assert str(got.value) == str(exc)
-    else:
-        assert proper_order(g, s, k) == expected
+def test_proper_order_matches_whole_graph_flows(monkeypatch):
+    # flows into the vertices proven at lambda >= k, and inside a found side
+    # into the side's marked complement, give the classes, their order and
+    # the precondition error that whole-graph flows into the root give; a
+    # flow at k+1 whose paths all end at vertices proven at k+1 certifies
+    # its source, and one whose paths do not is run again: both happen
+    ends = []
+    ends_marked = dc._ends_marked
+    monkeypatch.setattr(dc, "_ends_marked",
+                        lambda *a: ends.append(ends_marked(*a)) or ends[-1])
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(order_cases())
+    def check(case):
+        g, s, k = case
+        try:
+            expected = reference_order(g, s, k)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as got:
+                proper_order(g, s, k)
+            assert str(got.value) == str(exc)
+        else:
+            assert proper_order(g, s, k) == expected
+
+    check()
+    assert ends.count(True) and ends.count(False), ends
 
 
 def recorded_flows(monkeypatch):
-    """The list that receives (graph, marks, slots unmarked at the call) for
-    each flow that proper_order makes from now on, directly or through the
-    flow module's helpers; every one of them must run into marked sinks."""
+    """The list that receives (graph, source, marks, slots unmarked at the
+    call) for each flow that proper_order makes from now on, directly or
+    through the flow module's helpers; every one of them must run into
+    marked sinks."""
     flows = []
     flow_state = kecc.flow.flow_state
 
     def recorded(g, src, dst, cap=None, sinks=None):
         assert sinks is not None
-        flows.append((g, sinks, {x for x, m in enumerate(sinks) if not m}))
+        flows.append((g, src, sinks,
+                      {x for x, m in enumerate(sinks) if not m}))
         return flow_state(g, src, dst, cap, sinks)
 
     monkeypatch.setattr(dc, "flow_state", recorded)
@@ -127,11 +141,32 @@ def recorded_flows(monkeypatch):
     return flows
 
 
+def root_marks(flows):
+    """proper_order's two arrays around the root, as (proven, sinks):
+    proven, s and every vertex read at lambda >= k, takes the first flow;
+    sinks, s and the vertices at lambda >= k+1, takes each flow run again
+    from the source of the flow before it (None when no flow is)."""
+    proven = flows[0][2]
+    again = {id(b[2]): b[2] for a, b in zip(flows, flows[1:]) if a[1] == b[1]}
+    assert len(again) <= 1 and all(m is not proven for m in again.values())
+    return proven, next(iter(again.values()), None)
+
+
+def shuffled_chain(blocks, rng):
+    """gen_chain(blocks, 6, 1) with vertex ids permuted by rng."""
+    g = gen_chain(blocks, 6, 1)
+    perm = list(range(g.n_slots()))
+    rng.shuffle(perm)
+    return from_arcs(g.n_slots(), [(perm[g.e_tail[e]], perm[g.e_head[e]], 1)
+                                   for e in g.edges()])
+
+
 def test_proper_order_flows_follow_blocks(monkeypatch):
-    # one flow into the root's sinks per block of 6, not one per vertex (179
-    # before), and one flow per later vertex of a side, on g into the side's
-    # marked complement, which reads both lambda and the minimal side and
-    # expands no vertex outside the side
+    # one flow into proven per block of 6, not one per vertex (179 before),
+    # and one flow per later vertex of a side, on g into the side's marked
+    # complement, which reads both lambda and the minimal side and expands
+    # no vertex outside the side; the root's block is read before any
+    # vertex at lambda = k, so no flow runs again into sinks
     g = gen_chain(30, 6, 1)
     flows = recorded_flows(monkeypatch)
     expanded = []  # (index of the flow last started, vertex)
@@ -140,15 +175,52 @@ def test_proper_order_flows_follow_blocks(monkeypatch):
         ReversalOverlay, "succ",
         lambda ov, x: expanded.append((len(flows) - 1, x)) or succ(ov, x))
     proper_order(g, 0, 2)
-    assert len(flows) == 179 and all(h is g for h, _m, _u in flows)
-    root = flows[0][1]
-    assert sum(marks is root for _h, marks, _u in flows) <= 34
+    assert len(flows) == 179 and all(f[0] is g for f in flows)
+    proven, sinks = root_marks(flows)
+    assert sinks is None
+    assert sum(f[2] is proven for f in flows) <= 34
     side = {}  # id of a side's marks -> the slots its first flow left unmarked
-    for _h, marks, unmarked in flows:
+    for _h, _src, marks, unmarked in flows:
         side.setdefault(id(marks), unmarked)
-    inside = [(flows[i][1], x) for i, x in expanded if flows[i][1] is not root]
+    inside = [(flows[i][2], x) for i, x in expanded
+              if flows[i][2] is not proven]
     assert inside
     assert [x for marks, x in inside if x not in side[id(marks)]] == []
+
+
+def test_proper_order_runs_again_into_sinks(monkeypatch):
+    # with shuffled ids, vertices of the root's block are read after blocks
+    # at lambda = k; a flow of theirs into proven that ends in such a block
+    # is run again into sinks, which marks a subset of proven
+    g = shuffled_chain(30, random.Random(0))
+    flows = recorded_flows(monkeypatch)
+    proper_order(g, 0, 2)
+    proven, sinks = root_marks(flows)
+    again = [(a[3], b[3]) for a, b in zip(flows, flows[1:]) if b[2] is sinks]
+    assert sinks is not None and again
+    assert all(before < unmarked for before, unmarked in again)
+
+
+def test_proper_order_successor_reads_grow_with_the_ring(monkeypatch):
+    # each flow stops at the nearest vertex proven at lambda >= k, so on a
+    # ring of 2-out blocks with shuffled ids the successor reads grow about
+    # linearly: 8550, 18964 and 39720 at 60, 120 and 240 blocks, where flows
+    # into the vertices at lambda >= k+1 alone read 32582, 119193 and 454531
+    calls = [0]
+    succ = ReversalOverlay.succ
+
+    def counted(ov, x):
+        calls[0] += 1
+        return succ(ov, x)
+
+    monkeypatch.setattr(ReversalOverlay, "succ", counted)
+    reads = []
+    for blocks in (60, 120, 240):
+        g = shuffled_chain(blocks, random.Random(0))
+        calls[0] = 0
+        proper_order(g, 0, 2)
+        reads.append(calls[0])
+    assert all(b <= 2.5 * a for a, b in zip(reads, reads[1:])), reads
 
 
 def test_proper_order_side_graph_keeps_precondition(monkeypatch):
@@ -158,8 +230,10 @@ def test_proper_order_side_graph_keeps_precondition(monkeypatch):
     flows = recorded_flows(monkeypatch)
     with pytest.raises(GraphError, match=r"lambda\(2,0\)=1"):
         proper_order(g, 0, 2)
-    assert all(h is g for h, _m, _u in flows)
-    assert flows[-1][1] is not flows[0][1] and flows[-1][2] == {1, 2}
+    assert all(f[0] is g for f in flows)
+    proven, sinks = root_marks(flows)
+    assert sinks is None
+    assert flows[-1][2] is not proven and flows[-1][3] == {1, 2}
 
 
 def test_class_search_starts_at_volume_floor(monkeypatch):

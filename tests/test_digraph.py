@@ -1,5 +1,6 @@
 """Graph data model: edge lists, counters, overlays and contraction."""
 
+import copy
 import random
 from collections import Counter
 from unittest import mock
@@ -197,6 +198,23 @@ def test_contract_single_vertex():
     assert h.n_live == 4
     assert h.m_live == g.m_live
     assert not h.is_live(2) and h.is_live(v_s)
+
+
+def test_contract_leaves_g_unchanged(rng):
+    # the copy shares the set's lists with g only until contract_lazy
+    # rebinds them: contracting, then deleting edges at every vertex of the
+    # result, the contracted one included, changes nothing in g
+    for _ in range(10):
+        n = rng.randrange(4, 9)
+        g = gen_random_kec(n, 2, rng.randrange(0, 2 * n), rng.randrange(10**6))
+        before = copy.deepcopy(arrays(g))
+        h, _z = contract(g, rng.sample(range(n), rng.randrange(1, n)))
+        assert arrays(g) == before
+        for v in h.vertices():
+            for e in h.out[v][:1] + h.inn[v][:1]:
+                if h.e_alive[e]:
+                    h.delete_edge(e)
+        assert arrays(g) == before
 
 
 def test_contract_whole_graph_rejected():
