@@ -18,7 +18,7 @@ import sys
 import time
 
 from .decompose import DecompositionError, decompose_kecc, verify_decomposition
-from .digraph import GraphError, materialize, out_and_vol
+from .digraph import ConnectivityError, GraphError, materialize, out_and_vol
 from .driver import compute_k2ecc
 from .flow import lambda_bounded
 from .gen import MODELS, gen, sub_rng
@@ -306,6 +306,10 @@ def main(argv=None):
     except DecompositionError as exc:
         print(f"decomposition failure: {exc}", file=sys.stderr)
         return 2
+    except ConnectivityError as exc:  # graph files count vertices from 1
+        ids = (x + 1 for x in exc.pair)
+        print(f"error: {exc.template.format(*ids)}", file=sys.stderr)
+        return 1
     except (GraphFormatError, GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

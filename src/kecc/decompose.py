@@ -6,9 +6,9 @@ fixed root, with flows, in ascending order.  Each flow runs into the root
 and every vertex already found at lambda >= k to it, so on a ring of k-out
 sets it stops at the nearest block already read.  Below k its value is the
 lambda to the root, by the lemma in the flow module at cap k; at k its
-residual reach is the minimal side; a flow that reaches k+1 stands when its
-paths end at vertices found at lambda >= k+1 (the lemma at cap k+1) and is
-run again into those alone otherwise.  proper_order gives the argument.
+residual reach is the minimal side; a flow that reaches k+1 stands when the
+path ends it recorded are all at lambda >= k+1 (the lemma at cap k+1) and
+is run again into those alone otherwise.  proper_order gives the argument.
 Right after such a flow finds a side, the side's later vertices are
 classified by flows into the side's complement, so those flows cost the
 volume of the side rather than the distance to the root, and nothing waits
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .digraph import (ORDINARY, Digraph, GraphError,
+from .digraph import (ORDINARY, ConnectivityError, Digraph, GraphError,
                       contract_complement_reduced, materialize, vol_of)
 from .flow import flow_state
 # not called here; perfbench's tracer wraps both names in this module
@@ -61,12 +61,10 @@ def proper_order(g, s, k):
       submodularity, so d+(M & R) = k and, M being minimal, M lies inside
       R and avoids every mark; R is the minimal side of the flow into
       proven and M is one of its value, so R = M, the set.
-    - x = k+1: lambda(u, s) >= k.  If every path of the flow ends at a
-      vertex marked in sinks, the paths are a flow into sinks, and the
-      lemma at cap k+1 gives lambda(u, s) >= k+1; otherwise the flow into
-      sinks alone is run and read in place of it.  While no vertex sits at
-      lambda = k, sinks and proven mark the same set and the check is
-      skipped.
+    - x = k+1: lambda(u, s) >= k.  If every path end the flow recorded
+      is marked in sinks, the paths are a flow into sinks, and the lemma
+      at cap k+1 gives lambda(u, s) >= k+1; otherwise the flow into sinks
+      alone is run and read in place of it.
 
     When a flow returns a side S of more than one vertex, S's later
     unclassified vertices are classified next, in ascending order, by flows
@@ -90,7 +88,6 @@ def proper_order(g, s, k):
     sinks = bytearray(g.n_slots())
     sinks[s] = 1
     proven = sinks[:]
-    at_k = False  # whether proven marks a vertex that sinks does not
     for v in g.ordinary_vertices():
         if low is not None and low[0] <= v:
             break
@@ -101,7 +98,7 @@ def proper_order(g, s, k):
             u, marks = work.pop()
             fs = flow_state(g, u, s, k + 1, marks)
             if fs.value > k and marks is proven:
-                if at_k and not _ends_marked(g, fs, sinks):
+                if not all(map(sinks.__getitem__, fs.ends)):
                     fs = flow_state(g, u, s, k + 1, sinks)
                 else:
                     sinks[u] = 1
@@ -113,7 +110,6 @@ def proper_order(g, s, k):
             by_set.setdefault(side, []).append(u)
             classified.add(u)
             proven[u] = 1
-            at_k = True
             if marks is proven and len(side) > 1:
                 complement = bytearray(b"\x01") * g.n_slots()
                 for x in side:
@@ -122,25 +118,11 @@ def proper_order(g, s, k):
                          if x > u and g.kind[x] == ORDINARY
                          and x not in classified]
     if low is not None:
-        raise GraphError(f"graph is not {k}-edge-connected: "
-                         f"lambda({low[0]},{s})={low[1]}")
+        raise ConnectivityError(f"graph is not {k}-edge-connected: "
+                                f"lambda({{}},{{}})={low[1]}", (low[0], s))
     classes = [(members, key) for key, members in by_set.items()]
     classes.sort(key=lambda mc: (len(mc[1]), min(mc[1]), mc[0][0]))
     return classes
-
-
-def _ends_marked(g, fs, marks):
-    """Whether every path of a flow at its cap ends at a vertex marked in
-    marks.  The paths end at the flow's marked vertices with a flipped edge,
-    all of them entering, since no search expands a marked vertex; a flow
-    without an overlay is its first one-edge paths."""
-    u, sinks = fs.source, fs.sinks
-    if fs.overlay is None:
-        heads = map(g.e_head.__getitem__, g.out[u])
-        ends = [x for x in heads if sinks[x] and x != u][:fs.value]
-    else:
-        ends = [x for x in fs.overlay.dirty if sinks[x] and x != u]
-    return all(map(marks.__getitem__, ends))
 
 
 @dataclass

@@ -34,6 +34,15 @@ class GraphError(ValueError):
     pass
 
 
+class ConnectivityError(GraphError):
+    """A vertex pair below the connectivity a caller requires; the message
+    is template.format(*pair), to be given again in other vertex ids."""
+
+    def __init__(self, template, pair):
+        super().__init__(template.format(*pair))
+        self.template, self.pair = template, pair
+
+
 class Digraph:
     def __init__(self):
         self.kind = []
@@ -248,9 +257,10 @@ class ReversalOverlay:
     The base graph is never touched; rewind restores the overlay to an
     earlier journal mark exactly.  succ and pred walk a vertex's edge lists
     directly while it has no flipped edge, and skip or turn its flipped
-    edges otherwise.  Flows find augmenting paths into a set of vertices
-    marked in a bytearray with path_into and read residual reach with bfs;
-    local searches walk the overlay with bounded_bfs.
+    edges otherwise.  Flows search for paths into marked vertices with
+    path_into and read backward reach with bfs; local searches walk the
+    overlay with bounded_bfs.  Both record a dict tree for tree_path, so
+    they cost what they see; only the flip array costs the whole graph.
     """
 
     def __init__(self, g):
@@ -355,14 +365,13 @@ class ReversalOverlay:
         return queue
 
     def path_into(self, src, marked):
-        """Edges of a path from an unmarked src to a vertex marked in the
-        bytearray marked, in walk order, or None when none is reachable.
-
-        The forward breadth-first search stops at the first marked vertex it
-        sees and never expands one.  Only the vertices seen are recorded, so
-        a search that ends near src costs the edges around it.
+        """(tree, end) of a forward breadth-first search from an unmarked
+        src that stops at the first vertex marked in the bytearray marked,
+        end, and never expands one; tree maps each vertex seen to the edge
+        it was reached by (-1 for src).  When no marked vertex is
+        reachable, end is None and tree holds the reach of src.
         """
-        tree = {src: -1}  # edge each seen vertex was reached by
+        tree = {src: -1}
         queue = [src]
         for x in queue:
             for e, y in self.succ(x):
@@ -370,25 +379,21 @@ class ReversalOverlay:
                     continue
                 tree[y] = e
                 if marked[y]:
-                    return self.tree_path(tree, src, y)
+                    return tree, y
                 queue.append(y)
-        return None
+        return tree, None
 
     def bounded_bfs(self, src, target, limit, scanned=None):
         """Forward breadth-first search from src that scans at most limit
         edges and stops when an edge into target is scanned.
 
         Returns (queue, tree, hit, count): the vertices in discovery order,
-        the edge each discovered vertex was reached by (-1 for src and
-        undiscovered vertices), whether target was hit, and the number of
-        edges scanned; the ids of scanned edges are appended to scanned if
-        given.  Adjacency is read lazily, so no edge past the limit is
-        touched.
+        path_into's tree over them (and target, when hit), whether target
+        was hit, and the number of edges scanned; the ids of scanned edges
+        are appended to scanned if given.  Adjacency is read lazily, so no
+        edge past the limit is touched.
         """
-        n = len(self.g.kind)
-        visited = bytearray(n)
-        visited[src] = 1
-        tree = [-1] * n
+        tree = {src: -1}
         queue = [src]
         left = limit
         for x in queue:
@@ -401,8 +406,7 @@ class ReversalOverlay:
                 if y == target:
                     tree[y] = e
                     return queue, tree, True, limit - left
-                if not visited[y]:
-                    visited[y] = 1
+                if y not in tree:
                     tree[y] = e
                     queue.append(y)
         return queue, tree, False, limit - left

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .digraph import GraphError
+from .digraph import ConnectivityError, GraphError
 from .decompose import decompose_kecc
 from .flow import flow_state, lambda_bounded
 from .local_search import EMPTY, MSetResult, amplified_mset, local_search_mset
@@ -29,8 +29,8 @@ def sample_count(n_ord, delta, mode):
 def _check_value(lam, v, s, k, low):
     """Raise GraphError for a value below k, unless low accepts it."""
     if lam < k and not low:
-        raise GraphError(f"lambda({v},{s})={lam} below k: graph is not "
-                         f"{k}-edge-connected")
+        raise ConnectivityError(f"lambda({{}},{{}})={lam} below k: graph is "
+                                f"not {k}-edge-connected", (v, s))
 
 
 def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng, sinks,
@@ -65,8 +65,6 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
     m = h.m_live
     universe = tuple(sorted(h.vertices()))
     search_delta = max(1, math.ceil(m / math.sqrt(n_ord)))
-    if mode == "exact":
-        search_delta = m
     fail_prob = delta / (4 * n_ord)  # per-vertex budget for amplification
     sinks = bytearray(h.n_slots())
     sinks[s] = 1

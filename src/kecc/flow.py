@@ -7,9 +7,10 @@ Each parallel edge is its own unit-capacity channel, so pushing one unit of
 flow along a path is exactly reversing that path in the overlay, and the
 overlay itself *is* the residual graph.  Every flow runs into a set of
 marked vertices: each augmenting path is found by one forward search from
-the source that stops at the first marked vertex it sees.  The sides and the
-min-cut DAG partition read off a maximum flow do not depend on which maximum
-flow the searches found.
+the source that stops at the first marked vertex it sees.  A flow keeps each
+path's end and the tree of its failed search, the source's residual reach.
+The sides and the min-cut DAG partition read off a maximum flow do not
+depend on which maximum flow the searches found.
 
 A pass that asks min(lambda(v, s), c) for many v in turn can stop each flow
 at the vertices already certified: if lambda(u, s) >= c for every u in a
@@ -25,8 +26,8 @@ because any set of edge-disjoint paths extends to a maximum flow.
 
 The lemma holds at every c.  decompose.proper_order uses it at c = k and
 at c = k+1: its flows, capped at k+1, run into the vertices proven at
-lambda >= k, and a flow that reaches k+1 is read against those at
-lambda >= k+1.
+lambda >= k, and a flow that reaches k+1 stands when its recorded path ends
+are all at lambda >= k+1.
 """
 
 from __future__ import annotations
@@ -43,17 +44,22 @@ class FlowState:
 
     value equals the number of augmenting paths reversed, and the overlay
     journal holds exactly the edges of those paths; a flow that its one-edge
-    paths alone take to its cap has no overlay (None).
+    paths alone take to its cap has no overlay (None).  ends lists each
+    path's marked end, the one-edge paths' first; reach is the tree of the
+    search that found no path, the source's residual reach (None at cap).
     """
 
-    __slots__ = ("overlay", "value", "source", "sink", "sinks")
+    __slots__ = ("overlay", "value", "source", "sink", "sinks", "ends",
+                 "reach")
 
-    def __init__(self, overlay, value, source, sink, sinks):
+    def __init__(self, overlay, value, source, sink, sinks, ends, reach):
         self.overlay = overlay
         self.value = value
         self.source = source
         self.sink = sink
         self.sinks = sinks
+        self.ends = ends
+        self.reach = reach
 
     # The readers below need a maximum flow: a flow below its cap is one.
     # Their results do not depend on which maximum flow was found, and below
@@ -61,8 +67,12 @@ class FlowState:
 
     def minimal_side(self):
         """The inclusion-wise minimum min-cut side, as a frozenset: the
-        residual reach of the source."""
-        return frozenset(self.overlay.bfs([self.source]))
+        residual reach of the source, which the flow's last search walked.
+        A flow at its cap has none, and raises GraphError."""
+        if self.reach is None:
+            raise GraphError(f"flow from {self.source} reached its cap "
+                             f"{self.value}: no min-cut side to read")
+        return frozenset(self.reach)
 
     def latest_side(self):
         """The inclusion-wise maximum min-cut side, as a frozenset:
@@ -116,7 +126,8 @@ def flow_state(g, src, dst, cap=None, sinks=None):
     dst, O(m) per path; the pipeline's flows all pass sinks.  Either way,
     below c, the value and every reader of the FlowState are those of the
     flow to dst alone (the lemma in the module docstring).  When the
-    one-edge paths into marked vertices reach cap, no overlay is built.
+    one-edge paths into marked vertices reach cap, no overlay is built;
+    otherwise the tree of the search that finds no path is kept as reach.
     """
     if src == dst:
         raise GraphError("source and sink must differ")
@@ -136,21 +147,21 @@ def flow_state(g, src, dst, cap=None, sinks=None):
     # the one-edge paths first, from one scan of src's out-list
     direct = list(islice((e for e in g.out_edges(src) if sinks[g.e_head[e]]),
                          cap))
-    value = len(direct)
-    if value == cap:
+    ends = list(map(g.e_head.__getitem__, direct))
+    ov = reach = None
+    if len(ends) != cap:
+        ov = ReversalOverlay(g)
+        ov.reverse_trusted(direct)
+        while len(ends) != cap:
+            tree, end = ov.path_into(src, sinks)
+            if end is None:
+                reach = tree
+                break
+            ov.reverse_trusted(ov.tree_path(tree, src, end))
+            ends.append(end)
+    if len(ends) == cap:
         sinks[src] = 1
-        return FlowState(None, value, src, dst, sinks)
-    ov = ReversalOverlay(g)
-    ov.reverse_trusted(direct)
-    while cap is None or value < cap:
-        path = ov.path_into(src, sinks)
-        if path is None:
-            break
-        ov.reverse_trusted(path)
-        value += 1
-    if value == cap:
-        sinks[src] = 1
-    return FlowState(ov, value, src, dst, sinks)
+    return FlowState(ov, len(ends), src, dst, sinks, ends, reach)
 
 
 def lambda_bounded(g, u, v, cap, sinks=None):

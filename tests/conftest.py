@@ -116,6 +116,19 @@ def step_limited(steps, fn, *args):
     raise AssertionError(f"no result within {steps} traced steps")
 
 
+def ends_from_dirty(g, fs):
+    """The set of a flow's path ends, inferred as proper_order did before
+    flows recorded them: the marked vertices with a flipped edge, since no
+    search expands a marked vertex, or, for a flow without an overlay, the
+    heads of the source's first fs.value edges into marked vertices.  The
+    source, marked when the flow reached its cap, is no end."""
+    u, sinks = fs.source, fs.sinks
+    if fs.overlay is None:
+        heads = map(g.e_head.__getitem__, g.out[u])
+        return set([x for x in heads if sinks[x] and x != u][:fs.value])
+    return {x for x in fs.overlay.dirty if sinks[x] and x != u}
+
+
 def induced(g, members):
     """Subgraph induced by a vertex set, compacted; returns (graph, mapping)."""
     memb = set(members)

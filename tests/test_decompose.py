@@ -96,19 +96,27 @@ def order_cases(draw):
 def test_proper_order_matches_whole_graph_flows(monkeypatch):
     # flows into the vertices proven at lambda >= k, and inside a found side
     # into the side's marked complement, give the classes, their order and
-    # the precondition error that whole-graph flows into the root give; a
-    # flow at k+1 whose paths all end at vertices proven at k+1 certifies
-    # its source, and one whose paths do not is run again: both happen
-    ends = []
-    ends_marked = dc._ends_marked
-    monkeypatch.setattr(dc, "_ends_marked",
-                        lambda *a: ends.append(ends_marked(*a)) or ends[-1])
+    # the precondition error that whole-graph flows into the root give; once
+    # a vertex sits at lambda = k, a flow at k+1 into proven whose recorded
+    # path ends are all proven at k+1 certifies its source, and one whose
+    # ends are not is run again: both happen
+    flows = []  # (source, FlowState) of each flow of one proper_order call
+    flow_state = dc.flow_state
+
+    def recorded(g, src, *args):
+        fs = flow_state(g, src, *args)
+        flows.append((src, fs))
+        return fs
+
+    monkeypatch.setattr(dc, "flow_state", recorded)
+    stood = []  # per flow at k+1 into proven read after one at k
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
     @given(order_cases())
     def check(case):
         g, s, k = case
+        flows.clear()
         try:
             expected = reference_order(g, s, k)
         except GraphError as exc:
@@ -117,9 +125,14 @@ def test_proper_order_matches_whole_graph_flows(monkeypatch):
             assert str(got.value) == str(exc)
         else:
             assert proper_order(g, s, k) == expected
+        at_k = False
+        for (src, fs), (after, _fs) in zip(flows, flows[1:] + [(None, None)]):
+            if at_k and fs.value == k + 1 and fs.sinks is flows[0][1].sinks:
+                stood.append(after != src)
+            at_k = at_k or fs.value == k
 
     check()
-    assert ends.count(True) and ends.count(False), ends
+    assert stood.count(True) and stood.count(False), stood
 
 
 def recorded_flows(monkeypatch):
@@ -204,8 +217,9 @@ def test_proper_order_runs_again_into_sinks(monkeypatch):
 def test_proper_order_successor_reads_grow_with_the_ring(monkeypatch):
     # each flow stops at the nearest vertex proven at lambda >= k, so on a
     # ring of 2-out blocks with shuffled ids the successor reads grow about
-    # linearly: 8550, 18964 and 39720 at 60, 120 and 240 blocks, where flows
-    # into the vertices at lambda >= k+1 alone read 32582, 119193 and 454531
+    # linearly: 6426, 14680 and 31116 at 60, 120 and 240 blocks, where flows
+    # into the vertices at lambda >= k+1 alone, before flows kept their
+    # reach, read 32582, 119193 and 454531
     calls = [0]
     succ = ReversalOverlay.succ
 

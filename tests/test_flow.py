@@ -15,9 +15,9 @@ from kecc.oracle import (enumerate_separators, lambda_oracle, latest_oracle,
                          mset_oracle)
 from kecc.partitions import good_partition
 
-from conftest import (WholeResidual, closed_sets, induced, overlay_to_digraph,
-                      pq_dag, random_strongly_connected, random_walk,
-                      whole_residual)
+from conftest import (WholeResidual, closed_sets, ends_from_dirty, induced,
+                      overlay_to_digraph, pq_dag, random_strongly_connected,
+                      random_walk, whole_residual)
 
 
 def test_lambda_fixtures():
@@ -389,6 +389,38 @@ def test_certified_flow_at_cap_builds_no_overlay(monkeypatch):
     sinks = sinks_of(g, 1)
     assert flow_state(g, 0, 1, 3, sinks).value == 3
     assert built[0] == 1 and sinks[0] == 1
+
+
+def test_minimal_side_of_a_flow_at_cap_raises():
+    # a flow at its cap need not be maximum and ran no search that failed,
+    # so it has no side to read, whether its one-edge paths alone took it
+    # there (cap 2, no overlay) or a search did (cap 3)
+    g = from_arcs(3, [(0, 1, 2), (0, 2, 1), (2, 1, 1), (1, 0, 3)])
+    for cap in (2, 3):
+        fs = flow_state(g, 0, 1, cap, sinks_of(g, 1))
+        assert fs.value == cap and fs.reach is None
+        with pytest.raises(GraphError, match=f"reached its cap {cap}"):
+            fs.minimal_side()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(certified_passes())
+def test_flows_keep_their_ends_and_reach(case):
+    # a flow records one end per path, the marked vertices it flipped an
+    # edge at (the reference), and below its cap keeps the tree of its
+    # failed search, the source's residual reach; into sinks, capped to the
+    # sink alone and uncapped
+    g, s, cap, order = case
+    sinks = sinks_of(g, s)
+    for v in order:
+        for c, marks in ((cap, sinks), (cap, None), (None, None)):
+            fs = flow_state(g, v, s, c, marks)
+            assert len(fs.ends) == fs.value
+            assert set(fs.ends) == ends_from_dirty(g, fs)
+            if c is None or fs.value < c:
+                assert fs.minimal_side() == frozenset(fs.overlay.bfs([v]))
+            else:
+                assert fs.reach is None
 
 
 def test_flow_reads_a_fraction_of_the_graph(monkeypatch):

@@ -11,6 +11,7 @@ import kecc.cli as cli
 from kecc.cli import main
 from kecc.decompose import DecompositionError, decompose_kecc
 from kecc.digraph import AUXILIARY, ORDINARY, materialize
+from kecc.driver import _check_value
 from kecc.gen import gen_blocks, gen_chain
 from kecc.graphio import (GraphFormatError, parse_graph, partition_from_json,
                           partition_to_json, write_graph)
@@ -185,6 +186,26 @@ def test_cli_components_rejects_empty_graph(tmp_path, capsys):
     graph.write_text("p kec 0 0\n")
     assert main(["components", str(graph), "--k", "2"]) == 1
     assert "error: graph has no live vertex" in capsys.readouterr().err
+
+
+def test_cli_names_precondition_failures_one_based(tmp_path, capsys,
+                                                   monkeypatch):
+    # proper_order finds lambda(5, 0) = 2 below k = 3 on the 0-based graph,
+    # which the file numbers 6 and 1, in every mode; the driver's check of
+    # a value below k is numbered the same way
+    graph = tmp_path / "chain.gr"
+    main(["gen", "chain", "--blocks", "10", "--size", "5", "--k", "1",
+          "--out", str(graph)])
+    for mode in ("exact", "rand", "det"):
+        assert main(["components", str(graph), "--k", "3", "--mode",
+                     mode]) == 1
+        assert capsys.readouterr().err == (
+            "error: graph is not 3-edge-connected: lambda(6,1)=2\n")
+    monkeypatch.setattr(cli, "compute_k2ecc",
+                        lambda *args, **kw: _check_value(1, 4, 0, 2, False))
+    assert main(["components", str(graph), "--k", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: lambda(5,1)=1 below k: graph is not 2-edge-connected\n")
 
 
 def test_cli_components_verify_oracle(tmp_path, capsys):

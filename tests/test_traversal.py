@@ -4,10 +4,12 @@ random paths reversed, and of the flows built on them against the oracle."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecc.digraph import Digraph, ReversalOverlay
+from kecc.digraph import Digraph, ReversalOverlay, from_arcs
 from kecc.flow import flow_state
 from kecc.oracle import lambda_oracle
 
@@ -93,10 +95,18 @@ def test_path_into_matches_brute_force(ov, data):
     marked = bytearray(ov.g.n_slots())
     for x in targets:
         marked[x] = 1
-    # a malformed search tree would send tree_path round a cycle
-    path = step_limited(20000, ov.path_into, src, marked)
-    assert (path is None) == targets.isdisjoint(brute_reach(ov, src))
-    if path is not None:
+    # a search stuck in a loop fails here; a malformed tree fails in
+    # assert_tree_path before tree_path could go round a cycle
+    tree, end = step_limited(20000, ov.path_into, src, marked)
+    reach = brute_reach(ov, src)
+    assert (end is None) == targets.isdisjoint(reach)
+    if end is None:
+        # a failed search has seen the whole reach of src
+        assert set(tree) == reach
+    else:
+        assert marked[end]
+        assert_tree_path(ov, tree, src, end)
+        path = ov.tree_path(tree, src, end)
         assert len(set(path)) == len(path)
         cur = src
         for e in path:
@@ -104,7 +114,6 @@ def test_path_into_matches_brute_force(ov, data):
             assert not marked[cur]
             assert ov.g.e_alive[e] and ov.tail(e) == cur
             cur = ov.head(e)
-        assert marked[cur]
     dst = data.draw(st.sampled_from(sorted(targets)))
     cap = data.draw(st.integers(1, 4))
     fs = step_limited(20000, flow_state, ov.g, src, dst, cap)
@@ -131,3 +140,26 @@ def test_bounded_search_keeps_budget(ov, data):
         # the search ran out of frontier, not of budget
         assert queue == full and target not in full
         assert count == sum(1 for x in queue for _ in ov.succ(x))
+
+
+def test_bounded_search_costs_what_it_discovers():
+    # the same search on g and on g plus a large component it cannot reach
+    # scans the same edges, builds the same tree and allocates as much; the
+    # overlay's flip array, built before the call, is the one cost of the
+    # whole graph
+    near = [(v, (v + 1) % 40, 2) for v in range(40)]
+    far = [(40 + i, 40 + (i + 1) % 20000, 2) for i in range(20000)]
+    for target, limit in ((39, 200), (39, 50), (-1, 500)):
+        runs = []
+        for g in (from_arcs(40, near), from_arcs(20040, near + far)):
+            ov = ReversalOverlay(g)
+            ov.bounded_bfs(0, target, limit)  # warm the interpreter's caches
+            scanned = []
+            tracemalloc.start()
+            try:
+                got = ov.bounded_bfs(0, target, limit, scanned)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs.append((got, scanned, peak))
+        assert runs[0] == runs[1]
