@@ -191,8 +191,8 @@ def test_cli_components_rejects_empty_graph(tmp_path, capsys):
 def test_cli_names_precondition_failures_one_based(tmp_path, capsys,
                                                    monkeypatch):
     # proper_order finds lambda(5, 0) = 2 below k = 3 on the 0-based graph,
-    # which the file numbers 6 and 1, in every mode; the driver's check of
-    # a value below k is numbered the same way
+    # which the file numbers 6 and 1, in every mode; compute_k2ecc's check
+    # of a value below k is numbered the same way
     graph = tmp_path / "chain.gr"
     main(["gen", "chain", "--blocks", "10", "--size", "5", "--k", "1",
           "--out", str(graph)])
