@@ -83,7 +83,6 @@ def proper_order(g, s, k):
     equal keys keep the order of their classes' smallest members.
     """
     by_set = {}
-    classified = set()
     low = None  # (vertex, value): the smallest vertex read below k
     sinks = bytearray(g.n_slots())
     sinks[s] = 1
@@ -91,7 +90,7 @@ def proper_order(g, s, k):
     for v in g.ordinary_vertices():
         if low is not None and low[0] <= v:
             break
-        if v == s or v in classified:
+        if proven[v]:
             continue
         work = [(v, proven)]  # then one side's later vertices, smallest last
         while work:
@@ -108,7 +107,6 @@ def proper_order(g, s, k):
                 continue
             side = fs.minimal_side()
             by_set.setdefault(side, []).append(u)
-            classified.add(u)
             proven[u] = 1
             if marks is proven and len(side) > 1:
                 complement = bytearray(b"\x01") * g.n_slots()
@@ -116,7 +114,7 @@ def proper_order(g, s, k):
                     complement[x] = 0
                 work += [(x, complement) for x in sorted(side, reverse=True)
                          if x > u and g.kind[x] == ORDINARY
-                         and x not in classified]
+                         and not proven[x]]
     if low is not None:
         raise ConnectivityError(f"graph is not {k}-edge-connected: "
                                 f"lambda({{}},{{}})={low[1]}", (low[0], s))
@@ -226,7 +224,9 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
     randomized one ceil(log2(2n/delta)) times per budget probe.  A missed
     set aborts with DecompositionError rather than returning a wrong answer.
     The first phase runs on g from s (default: the smallest live vertex),
-    the second on the reverse of each of its outputs.
+    the second on the reverse of each of its outputs.  A ConnectivityError
+    names g's ids: from the first phase (v, s), v the smallest vertex at
+    lambda(v, s) < k; from the second (s, v), some v at lambda(s, v) < k.
     """
     check_k(k)
     check_mode(mode, rng, ("det", "rand"), drawing=("rand",))
@@ -242,13 +242,25 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
     reps = max(1, math.ceil(math.log2(2 * len(live) / delta)))
 
     base, base_map = materialize(g)
-    phase1 = _phase(base, live, base_map[s], k, m0, mode, reps, rng,
-                    materialized=True)
+    try:
+        phase1 = _phase(base, live, base_map[s], k, m0, mode, reps, rng,
+                        materialized=True)
+    except ConnectivityError as exc:  # live is ascending: v stays smallest
+        raise ConnectivityError(exc.template, (live[exc.pair[0]], s)) from None
     pieces = []
     for idx, (h, orig, start) in enumerate(phase1):
         # nothing reads h again, so phase 2 contracts its reverse view
-        phase2 = _phase(h.reversed(), orig, start, k, max(1, h.m_live), mode,
-                        reps, rng)
+        try:
+            phase2 = _phase(h.reversed(), orig, start, k, max(1, h.m_live),
+                            mode, reps, rng)
+        except ConnectivityError as exc:
+            # a (start, u)-cut of h below k, its contracted sets expanded, is
+            # a set of g avoiding s with the same in-degree: contraction keeps
+            # edges, and contract_complement_reduced's min(k, r) caps bind at k
+            v = orig[exc.pair[0]]
+            value = flow_state(g, s, v, k).value
+            raise ConnectivityError(f"graph is not {k}-edge-connected: lambda"
+                                    f"({{}},{{}})={value}", (s, v)) from None
         for jdx, (hh, sub_orig, _start) in enumerate(phase2):
             piece = DecompPiece(hh.reversed(), sub_orig, provenance=(idx, jdx))
             if piece.ordinary:

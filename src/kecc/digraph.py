@@ -13,15 +13,14 @@ Whole-graph copies (materialize, contract_complement_reduced, from_arcs)
 each build two edge lists and hand them to one bulk builder, _build.  Its
 result is identical to the graph that sequential add_vertex and add_edge
 calls would build: the same edge ids, the same list order, the same arrays
-and counters, and add_edge's error for bad input.  reversed copies nothing:
-it is a view that shares its graph's arrays.
+and counters; only from_arcs, whose arcs come from outside, checks them.
+reversed copies nothing: it is a view that shares its graph's arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import eq
 
 ORDINARY = 0
 AUXILIARY = 1
@@ -427,22 +426,10 @@ def _build(kinds, tails, heads):
     """Plain graph with one live vertex of each of the given kinds and an
     edge tails[i] -> heads[i] of id i for every i, identical to the one that
     add_vertex per vertex and add_edge per edge in id order would build.
-
-    add_edge's checks run over the whole lists at once; when one fails, the
-    build is replayed edge by edge so that add_edge raises its own error for
-    the first bad edge.
+    Nothing is checked: the lists come from a live graph, or from from_arcs,
+    which raises add_edge's error for the first bad arc.
     """
     n = len(kinds)
-    if tails and not (
-            min(tails) >= 0 and min(heads) >= 0
-            and max(tails) < n and max(heads) < n
-            and not any(map(eq, tails, heads))
-            and len(tails) <= MAX_EDGES):
-        g = Digraph()
-        for kind in kinds:
-            g.add_vertex(kind)
-        for t, h in zip(tails, heads):
-            g.add_edge(t, h)
     g = Digraph()
     g.kind = kinds
     g.v_alive = [True] * n
@@ -472,8 +459,9 @@ def from_arcs(n, arcs, ordinary=None):
     tails = []
     heads = []
     for u, v, mult in arcs:
-        if mult < 1 or len(tails) + mult > MAX_EDGES:
-            # raises add_edge's error for this arc, or for an earlier one
+        if (mult < 1 or len(tails) + mult > MAX_EDGES or u == v
+                or not (0 <= u < n and 0 <= v < n)):
+            # raises add_edge's error for this arc
             _build(kinds, tails, heads).add_edge(u, v, copies=mult)
         tails += [u] * mult
         heads += [v] * mult

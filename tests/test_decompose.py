@@ -10,12 +10,14 @@ import kecc.decompose as dc
 import kecc.flow
 from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
                             verify_decomposition)
-from kecc.digraph import (Digraph, GraphError, ReversalOverlay, from_arcs,
-                          materialize, out_of, vol_of)
+from kecc.digraph import (ConnectivityError, Digraph, GraphError,
+                          ReversalOverlay, from_arcs, materialize, out_of,
+                          vol_of)
 from kecc.flow import lambda_bounded, minimal_mincut_side
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
 from kecc.local_search import EMPTY, MSetResult
-from kecc.oracle import enumerate_separators, mutually_connected
+from kecc.oracle import (enumerate_separators, lambda_oracle,
+                         mutually_connected)
 
 from conftest import arrays, fingerprint, random_strongly_connected
 
@@ -398,6 +400,42 @@ def test_decompose_late_success_detected(monkeypatch, rng):
 def test_decompose_rejects_bad_input():
     with pytest.raises(GraphError):
         decompose_kecc(gen_cyc(4, 1), 2, 0.1, "det")  # only 1-edge-connected
+
+
+def test_decompose_phase_one_error_names_g_ids():
+    # phase 1 runs on materialize(g); with {1, 2} contracted into 1, g's
+    # vertex 5 is vertex 4 there, and the error names g's 5 and s = 0
+    g = gen_chain(10, 5, 1)
+    g.contract_lazy({1, 2}, 1)
+    with pytest.raises(ConnectivityError, match=r"lambda\(5,0\)=2$"):
+        decompose_kecc(g, 3, 0.1, "det")
+
+
+def test_decompose_phase_two_error_names_g_pair():
+    # nothing enters vertex 2, so lambda(0, 2) = 0; phase 1 passes (both 1
+    # and 2 reach 0) and phase 2 finds the cut on the reversed side graph
+    # of {2}, whose own ids would name the pair (0, 1)
+    g = from_arcs(3, [(1, 0, 1), (2, 0, 1), (0, 1, 1)])
+    with pytest.raises(ConnectivityError, match=r"lambda\(0,2\)=0$"):
+        decompose_kecc(g, 1, 0.1, "det")
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(3, 8))
+    pairs = [(u, v, 1) for u in range(n) for v in range(n) if u != v]
+    return from_arcs(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_digraphs(), st.integers(1, 3))
+def test_decompose_error_names_a_pair_below_k(g, k):
+    # whichever phase finds it, the pair is one of g at the value stated
+    try:
+        decompose_kecc(g, k, 0.1, "det")
+    except ConnectivityError as exc:
+        value = int(str(exc).rsplit("=", 1)[1])
+        assert lambda_oracle(g, *exc.pair, k) == value < k
 
 
 def test_decompose_rejects_dead_start():

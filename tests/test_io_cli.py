@@ -201,6 +201,15 @@ def test_cli_names_precondition_failures_one_based(tmp_path, capsys,
                      mode]) == 1
         assert capsys.readouterr().err == (
             "error: graph is not 3-edge-connected: lambda(6,1)=2\n")
+    # nothing enters vertex 3 of this file, so lambda(1, 3) = 0; the
+    # decomposition's second phase finds it on a side graph with its own ids
+    g3 = tmp_path / "g3.gr"
+    g3.write_text("p kec 3 3\na 2 1 1\na 3 1 1\na 1 2 1\n")
+    for argv in (["components", str(g3), "--k", "1", "--mode", "exact"],
+                 ["decompose", str(g3), "--k", "1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: graph is not 1-edge-connected: lambda(1,3)=0\n")
     monkeypatch.setattr(cli, "compute_k2ecc",
                         lambda *args, **kw: _check_value(1, 4, 0, 2, False))
     assert main(["components", str(graph), "--k", "2"]) == 1
