@@ -135,9 +135,7 @@ def _cmd_components(args):
     rng = sub_rng(args.seed, "components")
     s = None
     if args.s_override is not None:
-        s = args.s_override - 1
-        if not g.is_live(s):
-            raise GraphError(f"start vertex {args.s_override} is not live")
+        s = _live(g, "--s-override", args.s_override)
     part = compute_k2ecc(g, args.k, args.delta, args.mode, rng, s=s)
     text = partition_to_json(part, g.ordinary_vertices(), k=args.k,
                              mode=args.mode, seed=args.seed, delta=args.delta)
@@ -307,8 +305,7 @@ def main(argv=None):
         print(f"decomposition failure: {exc}", file=sys.stderr)
         return 2
     except ConnectivityError as exc:  # graph files count vertices from 1
-        ids = (x + 1 for x in exc.pair)
-        print(f"error: {exc.template.format(*ids)}", file=sys.stderr)
+        print(f"error: {exc.naming(lambda x: x + 1)}", file=sys.stderr)
         return 1
     except (GraphFormatError, GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,8 +116,7 @@ def proper_order(g, s, k):
                          if x > u and g.kind[x] == ORDINARY
                          and not proven[x]]
     if low is not None:
-        raise ConnectivityError(f"graph is not {k}-edge-connected: "
-                                f"lambda({{}},{{}})={low[1]}", (low[0], s))
+        raise ConnectivityError(k, low[1], (low[0], s))
     classes = [(members, key) for key, members in by_set.items()]
     classes.sort(key=lambda mc: (len(mc[1]), min(mc[1]), mc[0][0]))
     return classes
@@ -208,8 +207,8 @@ def _phase(g, orig, s, k, m0, mode, reps, rng, materialized=False):
         if {u for u in found if g.kind[u] == ORDINARY} != set(members):
             raise DecompositionError(
                 f"set found for vertex {members[0]} is not its class")
-        aux = contract_complement_reduced(g, found, k)
-        out.append((aux.graph, _pull(orig, aux.vmap, aux.graph), aux.vbar))
+        side, smap = contract_complement_reduced(g, found, k)
+        out.append((side, _pull(orig, smap, side), len(smap)))
         g.contract_lazy(found, min(found))
     remainder, rmap = materialize(g)
     out.append((remainder, _pull(orig, rmap, remainder), rmap[s]))
@@ -245,8 +244,8 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
     try:
         phase1 = _phase(base, live, base_map[s], k, m0, mode, reps, rng,
                         materialized=True)
-    except ConnectivityError as exc:  # live is ascending: v stays smallest
-        raise ConnectivityError(exc.template, (live[exc.pair[0]], s)) from None
+    except ConnectivityError as exc:  # base's ids index live, ascending
+        raise exc.naming(live.__getitem__) from None
     pieces = []
     for idx, (h, orig, start) in enumerate(phase1):
         # nothing reads h again, so phase 2 contracts its reverse view
@@ -258,9 +257,8 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
             # a set of g avoiding s with the same in-degree: contraction keeps
             # edges, and contract_complement_reduced's min(k, r) caps bind at k
             v = orig[exc.pair[0]]
-            value = flow_state(g, s, v, k).value
-            raise ConnectivityError(f"graph is not {k}-edge-connected: lambda"
-                                    f"({{}},{{}})={value}", (s, v)) from None
+            raise ConnectivityError(k, flow_state(g, s, v, k).value,
+                                    (s, v)) from None
         for jdx, (hh, sub_orig, _start) in enumerate(phase2):
             piece = DecompPiece(hh.reversed(), sub_orig, provenance=(idx, jdx))
             if piece.ordinary:

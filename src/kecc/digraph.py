@@ -10,7 +10,9 @@ merged vertices' edges to the representative and appends their lists to its
 lists, in time linear in the set's volume.  contract applies it to a copy.
 
 Whole-graph copies (materialize, contract_complement_reduced, from_arcs)
-each build two edge lists and hand them to one bulk builder, _build.  Its
+each build two edge lists and hand them to one bulk builder, _build.  The
+first two take their lists from one renumbering pass, _renumbered, and
+return (graph, mapping), mapping sending the old ids to the new.  _build's
 result is identical to the graph that sequential add_vertex and add_edge
 calls would build: the same edge ids, the same list order, the same arrays
 and counters; only from_arcs, whose arcs come from outside, checks them.
@@ -19,7 +21,6 @@ reversed copies nothing: it is a view that shares its graph's arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 
 ORDINARY = 0
@@ -34,12 +35,19 @@ class GraphError(ValueError):
 
 
 class ConnectivityError(GraphError):
-    """A vertex pair below the connectivity a caller requires; the message
-    is template.format(*pair), to be given again in other vertex ids."""
+    """lambda(u, v) = value below the k a caller requires, for the vertex
+    pair (u, v)."""
 
-    def __init__(self, template, pair):
-        super().__init__(template.format(*pair))
-        self.template, self.pair = template, pair
+    def __init__(self, k, value, pair):
+        u, v = pair
+        super().__init__(f"graph is not {k}-edge-connected: "
+                         f"lambda({u},{v})={value}")
+        self.k, self.value, self.pair = k, value, pair
+
+    def naming(self, ids):
+        """The same error with each vertex x named ids(x)."""
+        u, v = self.pair
+        return ConnectivityError(self.k, self.value, (ids(u), ids(v)))
 
 
 class Digraph:
@@ -521,32 +529,36 @@ def contract(g, members):
     return h, z
 
 
-@dataclass
-class ReducedComplement:
-    """Standalone graph for a k-out set with the complement contracted."""
-    graph: Digraph
-    vmap: dict
-    vbar: int
+def _renumbered(g, verts):
+    """(tails, heads, vmap): vmap sends verts to 0, 1, ... in order, and
+    edge i of tails and heads is the i-th out-edge of verts, in vertex then
+    list order, renumbered by vmap; a head outside verts becomes
+    len(verts)."""
+    vmap = {v: i for i, v in enumerate(verts)}
+    new_id = vmap.get
+    outside = len(verts)
+    tails = []
+    heads = []
+    for i, v in enumerate(verts):
+        ends = [new_id(g.head(e), outside) for e in g.out_edges(v)]
+        tails += [i] * len(ends)
+        heads += ends
+    return tails, heads, vmap
 
 
 def contract_complement_reduced(g, members, k):
     """Build the side graph of a k-out set, contracting everything else.
 
-    The complement becomes a single auxiliary vertex receiving the k cut
-    edges; for each member with r entering edges from outside, min(k, r)
-    parallel edges from the contracted vertex are kept.  Touches O(vol)
-    edges.
+    Returns (graph, mapping) as materialize does: mapping sends the members,
+    ascending, to 0, 1, ..., and the complement becomes one auxiliary vertex,
+    len(mapping), receiving the k cut edges; for each member with r entering
+    edges from outside, min(k, r) parallel edges from the contracted vertex
+    are kept.  Touches O(vol) edges.
     """
     memb = set(members)
     order = sorted(memb)
-    vmap = {u: i for i, u in enumerate(order)}
+    tails, heads, vmap = _renumbered(g, order)
     vbar = len(order)
-    tails = []
-    heads = []
-    for u in order:
-        ends = [vmap.get(g.head(e), vbar) for e in g.out_edges(u)]
-        tails += [vmap[u]] * len(ends)
-        heads += ends
     out = heads.count(vbar)  # the edges leaving the set
     if out != k:
         raise GraphError(f"expected a {k}-out set, found out={out}")
@@ -560,8 +572,7 @@ def contract_complement_reduced(g, members, k):
         tails += [vbar] * rho
         heads += [vmap[u]] * rho
     kinds = [g.kind[u] for u in order] + [AUXILIARY]
-    h = _build(kinds, tails, heads)
-    return ReducedComplement(h, vmap, vbar)
+    return _build(kinds, tails, heads), vmap
 
 
 def materialize(g):
@@ -570,11 +581,5 @@ def materialize(g):
     Returns (graph, mapping) where mapping sends live ids of g to new ids.
     """
     verts = g.vertices()
-    vmap = {v: i for i, v in enumerate(verts)}
-    tails = []
-    heads = []
-    for v in verts:
-        ends = [vmap[g.head(e)] for e in g.out_edges(v)]
-        tails += [vmap[v]] * len(ends)
-        heads += ends
+    tails, heads, vmap = _renumbered(g, verts)
     return _build([g.kind[v] for v in verts], tails, heads), vmap

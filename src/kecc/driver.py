@@ -29,8 +29,7 @@ def sample_count(n_ord, delta, mode):
 def _check_value(lam, v, s, k, low):
     """Raise GraphError for a value below k, unless low accepts it."""
     if lam < k and not low:
-        raise ConnectivityError(f"lambda({{}},{{}})={lam} below k: graph is "
-                                f"not {k}-edge-connected", (v, s))
+        raise ConnectivityError(k, lam, (v, s))
 
 
 def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng, sinks,

@@ -32,6 +32,13 @@ class _BaseEstimator:
             setattr(self, name, value)
         return self
 
+    def _fitted(self, part):
+        """Store the Partition part as the fit's result; returns self."""
+        self.partition_ = part
+        self.labels_ = [part.label[v] for v in part.universe]
+        self.n_components_ = part.n_blocks
+        return self
+
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
@@ -56,13 +63,9 @@ class KPlusTwoComponents(_BaseEstimator):
         self.partition_ = None
 
     def fit(self, X, y=None):
-        g = as_digraph(X)
-        rng = sub_rng(self.seed, "k2ecc")
-        part = compute_k2ecc(g, self.k, self.delta, self.mode, rng)
-        self.partition_ = part
-        self.labels_ = [part.label[v] for v in part.universe]
-        self.n_components_ = part.n_blocks
-        return self
+        part = compute_k2ecc(as_digraph(X), self.k, self.delta, self.mode,
+                             sub_rng(self.seed, "k2ecc"))
+        return self._fitted(part)
 
     def fit_predict(self, X, y=None):
         return self.fit(X).labels_
@@ -81,13 +84,10 @@ class PreparedFourComponents(_BaseEstimator):
         self.partition_ = None
 
     def fit(self, X, y=None, ordinary=None):
-        g = as_digraph(X, ordinary=ordinary)
-        rng = sub_rng(self.seed, "4ecc")
-        part = compute_4ecc_prepared(g, self.delta, self.mode, rng)
-        self.partition_ = part
-        self.labels_ = [part.label[v] for v in part.universe]
-        self.n_components_ = part.n_blocks
-        return self
+        part = compute_4ecc_prepared(as_digraph(X, ordinary=ordinary),
+                                     self.delta, self.mode,
+                                     sub_rng(self.seed, "4ecc"))
+        return self._fitted(part)
 
     def fit_predict(self, X, y=None, ordinary=None):
         return self.fit(X, ordinary=ordinary).labels_

@@ -13,6 +13,7 @@ from kecc.decompose import (DecompositionError, decompose_kecc, proper_order,
 from kecc.digraph import (ConnectivityError, Digraph, GraphError,
                           ReversalOverlay, from_arcs, materialize, out_of,
                           vol_of)
+from kecc.driver import _check_value
 from kecc.flow import lambda_bounded, minimal_mincut_side
 from kecc.gen import gen_blocks, gen_chain, gen_cyc, gen_kn, gen_random_kec
 from kecc.local_search import EMPTY, MSetResult
@@ -430,12 +431,18 @@ def small_digraphs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(small_digraphs(), st.integers(1, 3))
 def test_decompose_error_names_a_pair_below_k(g, k):
-    # whichever phase finds it, the pair is one of g at the value stated
+    # whichever phase finds it, the pair is one of g at the value stated,
+    # and the driver words the same (k, value, pair) the same way
     try:
         decompose_kecc(g, k, 0.1, "det")
     except ConnectivityError as exc:
-        value = int(str(exc).rsplit("=", 1)[1])
-        assert lambda_oracle(g, *exc.pair, k) == value < k
+        u, v = exc.pair
+        assert lambda_oracle(g, u, v, k) == exc.value < k
+        assert str(exc) == (f"graph is not {k}-edge-connected: "
+                            f"lambda({u},{v})={exc.value}")
+        with pytest.raises(ConnectivityError) as raised:
+            _check_value(exc.value, u, v, k, False)
+        assert str(raised.value) == str(exc)
 
 
 def test_decompose_rejects_dead_start():

@@ -279,19 +279,19 @@ def test_contract_complement_reduced_blocks():
     a_side = set(range(5))
     vol = vol_of(g, a_side)
     scanned = counting_lists(g)
-    red = contract_complement_reduced(g, a_side, 2)
+    h, vmap = contract_complement_reduced(g, a_side, 2)
     # O(vol): the out-lists are read once, vol entries, and the edges
     # leaving the set are counted in that pass; each member's in-list is
     # read up to k entries from outside, past entries from inside, which
     # number at most vol in all
     assert scanned[0] <= 2 * vol + 2 * len(a_side)
-    h = red.graph
-    a0 = red.vmap[0]
-    copies = [e for e in h.out_edges(red.vbar)]
+    vbar = len(vmap)
+    a0 = vmap[0]
+    copies = [e for e in h.out_edges(vbar)]
     assert len(copies) == 2
     assert all(h.head(e) == a0 for e in copies)
-    assert h.kind[red.vbar] == AUXILIARY
-    assert len(h.inn[red.vbar]) == 2
+    assert h.kind[vbar] == AUXILIARY
+    assert len(h.inn[vbar]) == 2
     check(h)
 
 
@@ -306,12 +306,11 @@ def test_contract_complement_reduction_rule():
     g.add_edge(3, 1, copies=1)   # rho=1 -> keep 1
     g.add_edge(2, 3, copies=2)
     g.add_edge(3, 2, copies=2)
-    red = contract_complement_reduced(g, {0, 1}, 2)
-    h = red.graph
+    h, vmap = contract_complement_reduced(g, {0, 1}, 2)
     into = {}
-    for e in h.out_edges(red.vbar):
+    for e in h.out_edges(len(vmap)):
         into[h.head(e)] = into.get(h.head(e), 0) + 1
-    assert into == {red.vmap[0]: 2, red.vmap[1]: 1}
+    assert into == {vmap[0]: 2, vmap[1]: 1}
 
 
 def test_contract_complement_requires_kout():
@@ -330,13 +329,13 @@ def test_contract_complement_preserves_inner_lambda(rng):
         members = set(rng.sample(range(n), rng.randrange(2, n - 1)))
         if out_of(g, members) != k:
             continue
-        red = contract_complement_reduced(g, members, k)
+        h, vmap = contract_complement_reduced(g, members, k)
         for u in members:
             for v in members:
                 if u != v:
                     cap = k + 2
                     assert lambda_oracle(g, u, v, cap) == \
-                        lambda_oracle(red.graph, red.vmap[u], red.vmap[v], cap)
+                        lambda_oracle(h, vmap[u], vmap[v], cap)
         done += 1
 
 
@@ -465,8 +464,8 @@ def ref_complement_reduced(g, members, k):
 
 
 def complement_reduced(g, members, k):
-    red = contract_complement_reduced(g, members, k)
-    return red.graph, red.vmap, red.vbar
+    h, vmap = contract_complement_reduced(g, members, k)
+    return h, vmap, len(vmap)
 
 
 def ref_from_arcs(n, arcs):
@@ -582,7 +581,7 @@ def test_reverse_is_a_view(case):
     built = [materialize(g)[0]]
     out = out_of(g, members)
     if out:
-        built.append(contract_complement_reduced(g, members, out).graph)
+        built.append(contract_complement_reduced(g, members, out)[0])
     for h in built:
         assert arrays(h.reversed()) == arrays(ref_reversed(h))
 

@@ -4,13 +4,15 @@ import copy
 from collections import Counter
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kecc.driver as drv
-from kecc.digraph import AUXILIARY, Digraph, GraphError, from_arcs, vol_of
+from kecc.digraph import (AUXILIARY, ConnectivityError, Digraph, GraphError,
+                          from_arcs, vol_of)
 from kecc.decompose import decompose_kecc
 from kecc.driver import (compute_4ecc_prepared, compute_k2ecc,
                          compute_partition_single, sample_count)
@@ -151,8 +153,9 @@ def test_4ecc_prepared_planted(rng):
 @pytest.mark.parametrize("mode", ["det", "rand", "exact"])
 def test_lambda_below_k_raises_in_every_mode(mode):
     # exact mode runs no sampling pass; the small-set pass's lambdas are
-    # checked as well
-    with pytest.raises(GraphError, match="below k"):
+    # checked as well; lambda(1, 0) is the first one read
+    with pytest.raises(ConnectivityError, match=r"^graph is not "
+                       r"2-edge-connected: lambda\(1,0\)=1$"):
         compute_partition_single(gen_cyc(6, 1), 2, 0.2, mode,
                                  random.Random(0))
 
@@ -174,7 +177,8 @@ def test_4ecc_prepared_accepts_lambda_one():
     g = _low_fixture()
     part = compute_4ecc_prepared(g, 0.2, "rand", random.Random(1))
     assert part.restrict(range(5)).n_blocks == 1
-    with pytest.raises(GraphError, match="lambda\\(5,0\\)=1 below k"):
+    with pytest.raises(ConnectivityError, match=r"^graph is not "
+                       r"2-edge-connected: lambda\(5,0\)=1$"):
         compute_partition_single(g, 2, 0.2, "rand", random.Random(1))
 
 
@@ -398,6 +402,40 @@ def test_default_root_is_best_connected_ordinary(monkeypatch, mode, aux, s,
     g = _root_fixture(aux)
     compute_partition_single(g, 1, 0.2, mode, random.Random(0), s=s)
     assert sinks and set(sinks) == {want}
+
+
+def _degree(h):
+    return lambda v: min(len(h.inn[v]), len(h.out[v]))
+
+
+@st.composite
+def hub_marked_graphs(draw):
+    """prepared_graphs with the vertex of largest min(in, out)-degree, the
+    smallest id among equals, marked auxiliary: the ordinary vertices stay
+    (k+1)-edge-connected, and the default root must skip that vertex."""
+    h, k = draw(prepared_graphs())
+    hub = max(h.vertices(), key=_degree(h))
+    h.set_ordinary(v for v in h.vertices() if v != hub)
+    return h, k
+
+
+@PROPERTY
+@given(hub_marked_graphs())
+def test_default_root_skips_an_auxiliary_hub(case):
+    h, k = case
+    sinks = []
+    flow = drv.flow_state
+
+    def recording(g, src, dst, *args):
+        sinks.append(dst)
+        return flow(g, src, dst, *args)
+
+    with mock.patch.object(drv, "flow_state", recording):
+        part = compute_partition_single(h, k, 0.2, "exact")
+    ordinary = h.ordinary_vertices()
+    assert set(sinks) == {max(ordinary, key=_degree(h))}
+    want = ecc_components(h, k + 2)
+    assert part.restrict(ordinary) == want.restrict(ordinary)
 
 
 @pytest.mark.parametrize("mode,kernel,other", [

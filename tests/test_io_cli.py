@@ -192,7 +192,7 @@ def test_cli_names_precondition_failures_one_based(tmp_path, capsys,
                                                    monkeypatch):
     # proper_order finds lambda(5, 0) = 2 below k = 3 on the 0-based graph,
     # which the file numbers 6 and 1, in every mode; compute_k2ecc's check
-    # of a value below k is numbered the same way
+    # of a value below k is worded and numbered the same way
     graph = tmp_path / "chain.gr"
     main(["gen", "chain", "--blocks", "10", "--size", "5", "--k", "1",
           "--out", str(graph)])
@@ -214,7 +214,7 @@ def test_cli_names_precondition_failures_one_based(tmp_path, capsys,
                         lambda *args, **kw: _check_value(1, 4, 0, 2, False))
     assert main(["components", str(graph), "--k", "2"]) == 1
     assert capsys.readouterr().err == (
-        "error: lambda(5,1)=1 below k: graph is not 2-edge-connected\n")
+        "error: graph is not 2-edge-connected: lambda(5,1)=1\n")
 
 
 def test_cli_components_verify_oracle(tmp_path, capsys):
@@ -280,14 +280,16 @@ def test_cli_decompose_and_errors(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_components_rejects_bad_start(tmp_path, capsys):
-    # --s-override is 1-based: 0 and ids past n are input errors
+    # --s-override is 1-based: 0 and ids past n are input errors, named
+    # as the other vertex flags name them
     graph = tmp_path / "g.gr"
     main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",
           str(graph)])
     for s in ("0", "99"):
         assert main(["components", str(graph), "--k", "2",
                      "--s-override", s]) == 1
-        assert f"start vertex {s} is not live" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --s-override vertex {s} is not live\n")
 
 
 def test_cli_components_rand_seeded(tmp_path):
