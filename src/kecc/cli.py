@@ -262,7 +262,7 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--mode", choices=("det", "rand", "exact"), default="rand")
+    p.add_argument("--mode", choices=("rand", "exact"), default="rand")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--s-override", type=int, default=None,
                    help="1-based id of the live vertex that roots the "

@@ -228,7 +228,7 @@ def decompose_kecc(g, k, delta, mode="det", rng=None, s=None):
     lambda(v, s) < k; from the second (s, v), some v at lambda(s, v) < k.
     """
     check_k(k)
-    check_mode(mode, rng, ("det", "rand"), drawing=("rand",))
+    check_mode(mode, rng, ("det", "rand"))
     check_delta(delta)
     live = g.vertices()
     if not live:

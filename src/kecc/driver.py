@@ -15,15 +15,13 @@ from .partitions import (Partition, good_partition, partition_from_msets,
                          refine, refine_many)
 from .validation import check_delta, check_k, check_mode
 
-# not called here; perfbench's tracer wraps both names in this module
+# not called here, nor local_search_mset: perfbench's tracer wraps them here
 good_partition_full = good_partition_deficient = good_partition
 
 
-def sample_count(n_ord, delta, mode):
-    """Number of edges drawn by the sampling pass: ceil(sqrt(n) log2(2n/d))
-    with deterministic searches, ceil(sqrt(n) log2(4n/d)) with randomized."""
-    base = 4.0 if mode == "rand" else 2.0
-    return math.ceil(math.sqrt(n_ord) * math.log2(base * n_ord / delta))
+def sample_count(n_ord, delta):
+    """Number of edges drawn by the sampling pass: ceil(sqrt(n) log2(4n/d))."""
+    return math.ceil(math.sqrt(n_ord) * math.log2(4.0 * n_ord / delta))
 
 
 def _check_value(lam, v, s, k, low):
@@ -53,8 +51,6 @@ def _small_set_result(h, v, s, k, mode, search_delta, fail_prob, rng, sinks,
     _check_value(lam, v, s, k, low)
     if lam >= k + 2:
         return EMPTY
-    if mode == "det":
-        return local_search_mset(h, v, s, k + 1, search_delta)
     return amplified_mset(h, v, s, k + 1, search_delta, fail_prob, rng)
 
 
@@ -71,8 +67,8 @@ def _one_direction(h, s, k, delta, mode, rng, low, stats):
                                     rng, sinks, low)
                for v in ordinary if v != s}
     parts = [partition_from_msets(results, universe, ordinary)]
-    if mode != "exact" and m > 0:
-        draws = sample_count(n_ord, delta, mode)
+    if mode == "rand" and m > 0:
+        draws = sample_count(n_ord, delta)
         if stats is not None:
             stats.setdefault("samples", []).append(
                 {"n_ord": n_ord, "delta": delta, "mode": mode, "draws": draws})
@@ -98,15 +94,15 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
     (k+2)-edge-connected pairs always share a block and other ordinary pairs
     are separated with probability at least 1 - delta.
 
-    The graph's ordinary vertices must be (k+1)-edge-connected.  Runs the
-    small-set pass and the sampling pass on the graph and on its reverse,
-    and returns the common refinement.  Every sampled vertex with
-    lambda(v, s) <= k+1 gets the good partition at k+2 of one flow into s
-    and the vertices certified at lambda(u, s) >= k+2.  A vertex found
-    at lambda(v, s) < k, by either pass, raises GraphError unless low is
-    set.  In exact mode the output is deterministic and equals the
-    (k+2)-connectivity classes of the ordinary vertices; the other modes
-    sample edges and need an rng.
+    The graph's ordinary vertices must be (k+1)-edge-connected.  mode is
+    "rand" or "exact".  Runs the small-set pass, and in rand mode the
+    sampling pass, on the graph and on its reverse, and returns the common
+    refinement.  Every sampled vertex with lambda(v, s) <= k+1 gets the
+    good partition at k+2 of one flow into s and the vertices certified at
+    lambda(u, s) >= k+2.  A vertex found at lambda(v, s) < k, by either
+    pass, raises GraphError unless low is set.  Exact mode draws nothing
+    from rng, and its output equals the (k+2)-connectivity classes of the
+    ordinary vertices.
 
     Every flow and search of both passes, in both directions, is rooted at
     the ordinary vertex s.  By default s is the ordinary vertex with the
@@ -132,13 +128,15 @@ def compute_partition_single(h, k, delta, mode="rand", rng=None, s=None,
 
 
 def compute_k2ecc(g, k, delta, mode="rand", rng=None, s=None, stats=None):
-    """(k+2)-edge-connected components of a k-edge-connected digraph.
+    """(k+2)-edge-connected components of a k-edge-connected digraph, as a
+    Partition of its ordinary vertices, which carry the component claims.
 
-    Decomposes with failure budget delta/2, partitions each piece with
-    budget delta/(2n), and stitches the per-piece blocks back together:
-    vertices from different pieces are never merged.  s roots the
-    decomposition (default: the smallest live id); each piece is rooted at
-    its best-connected ordinary vertex, as in compute_partition_single.
+    Decomposes with failure budget delta/2, in det mode when mode is
+    "exact", partitions each piece with budget delta/(2n), and stitches the
+    per-piece blocks back together: vertices from different pieces are
+    never merged.  s roots the decomposition (default: the smallest live
+    id); each piece is rooted at its best-connected ordinary vertex, as in
+    compute_partition_single.
     """
     check_mode(mode, rng)
     check_delta(delta)
@@ -155,7 +153,7 @@ def compute_k2ecc(g, k, delta, mode="rand", rng=None, s=None, stats=None):
         local = piece.local_of()
         for o in piece.ordinary:
             key[o] = (i, part.label[local[o]])
-    return Partition.from_key(sorted(g.vertices()), key.__getitem__)
+    return Partition.from_key(key, key.__getitem__)
 
 
 def compute_4ecc_prepared(h, delta, mode="rand", rng=None, s=None, stats=None):
@@ -163,9 +161,10 @@ def compute_4ecc_prepared(h, delta, mode="rand", rng=None, s=None, stats=None):
     connected graph whose ordinary vertices are 3-edge-connected.
 
     Same driver as the general algorithm with k=2, except that vertices at
-    connectivity 1 are accepted and get the same good partition at t=4.  s
-    roots the partition; by default it is the ordinary vertex with the
-    largest min(in, out)-degree, as in compute_partition_single.
+    connectivity 1 are accepted, and sampled ones get the same good
+    partition at t=4.  s roots the partition; by default it is the ordinary
+    vertex with the largest min(in, out)-degree, as in
+    compute_partition_single.
     """
     return compute_partition_single(h, 2, delta, mode, rng, s=s, stats=stats,
                                     low=True)

@@ -48,9 +48,10 @@ class KPlusTwoComponents(_BaseEstimator):
     """Cluster the vertices of a k-edge-connected digraph into its
     (k+2)-edge-connected components.
 
-    Parameters mirror the pipeline: failure budget delta, search mode
-    ("rand", "det" or "exact"), and a seed from which all randomness is
-    derived.  After fit, labels_[v] is the component id of vertex v.
+    Parameters mirror the pipeline: failure budget delta, mode ("rand" or
+    "exact", which draws nothing), and a seed from which all randomness is
+    derived.  After fit, labels_ lists the component ids of the ordinary
+    vertices in ascending order: labels_[v] is vertex v's when all are.
     """
 
     def __init__(self, k=2, delta=0.25, mode="rand", seed=0):
@@ -73,7 +74,8 @@ class KPlusTwoComponents(_BaseEstimator):
 
 class PreparedFourComponents(_BaseEstimator):
     """Cluster the ordinary vertices of a prepared strongly connected graph
-    (ordinary vertices 3-edge-connected) into 4-edge-connected components."""
+    (ordinary vertices 3-edge-connected) into 4-edge-connected components;
+    mode is "rand" or "exact", and labels_[v] is the block of any vertex v."""
 
     def __init__(self, delta=0.25, mode="rand", seed=0):
         self.delta = delta

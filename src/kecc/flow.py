@@ -64,15 +64,18 @@ class FlowState:
     # The readers below need a maximum flow: a flow below its cap is one.
     # Their results do not depend on which maximum flow was found, and below
     # the cap they are those of the flow to the sink alone (module docstring).
+    # A flow at its cap kept no reach, and each reader raises GraphError.
 
-    def minimal_side(self):
-        """The inclusion-wise minimum min-cut side, as a frozenset: the
-        residual reach of the source, which the flow's last search walked.
-        A flow at its cap has none, and raises GraphError."""
+    def _reach(self):
         if self.reach is None:
             raise GraphError(f"flow from {self.source} reached its cap "
                              f"{self.value}: no min-cut side to read")
-        return frozenset(self.reach)
+        return self.reach
+
+    def minimal_side(self):
+        """The inclusion-wise minimum min-cut side, as a frozenset: the
+        residual reach of the source, which the flow's last search walked."""
+        return frozenset(self._reach())
 
     def latest_side(self):
         """The inclusion-wise maximum min-cut side, as a frozenset:
@@ -82,6 +85,7 @@ class FlowState:
         cap no certified vertex lies in a min-cut side, and a vertex that
         reaches one reaches a vertex marked when the flow ran.
         """
+        self._reach()
         ov = self.overlay
         live = ov.g.vertices()
         sinks = self.sinks

@@ -19,14 +19,13 @@ def check_delta(delta):
     return delta
 
 
-def check_mode(mode, rng, allowed=("det", "rand", "exact"),
-               drawing=("det", "rand")):
-    """Reject a mode outside allowed, and a mode in drawing, which draws
+def check_mode(mode, rng, allowed=("rand", "exact")):
+    """Reject a mode outside allowed, and rand mode, the only one that draws
     random numbers, without an rng."""
     if mode not in allowed:
         raise GraphError(f"mode must be one of {allowed}, got {mode!r}")
-    if mode in drawing and rng is None:
-        raise GraphError(f"{mode} mode needs an rng")
+    if mode == "rand" and rng is None:
+        raise GraphError("rand mode needs an rng")
     return mode
 
 

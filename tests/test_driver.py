@@ -4,6 +4,7 @@ import copy
 from collections import Counter
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -28,9 +29,7 @@ from conftest import arrays, planted_deficient, strongly_connected_audit
 
 
 def test_sample_count_formula():
-    assert sample_count(100, 0.5, "det") == 87
-    assert sample_count(100, 0.5, "rand") == math.ceil(
-        10 * math.log2(800))
+    assert sample_count(100, 0.5) == math.ceil(10 * math.log2(800)) == 97
 
 
 def test_single_piece_from_blocks_decomposition():
@@ -64,7 +63,7 @@ def test_pipeline_fixtures():
 def test_pipeline_modes_agree_on_blocks(rng):
     g = gen_blocks(6, 6, 2)
     want = ecc_components(g, 4)
-    for mode in ("det", "rand", "exact"):
+    for mode in ("rand", "exact"):
         assert compute_k2ecc(g, 2, 0.2, mode, rng) == want
 
 
@@ -91,14 +90,13 @@ def some_good_partition(g):
 
 
 @pytest.mark.parametrize("run", [
-    lambda g: compute_k2ecc(g, 2, 0.2, "det", random.Random(1)),
     lambda g: compute_k2ecc(g, 2, 0.2, "rand", random.Random(1)),
     lambda g: compute_k2ecc(g, 2, 0.2, "exact"),
     lambda g: decompose_kecc(g, 2, 0.2, "rand", random.Random(1)),
     lambda g: compute_partition_single(g, 1, 0.2, "rand", random.Random(1)),
     lambda g: ecc_naive(g, 3),
     some_good_partition,
-], ids=["k2ecc-det", "k2ecc-rand", "k2ecc-exact", "decompose",
+], ids=["k2ecc-rand", "k2ecc-exact", "decompose",
         "partition-single", "ecc-naive", "good-partition"])
 def test_caller_graphs_are_never_mutated(run):
     # reverses share their graph's arrays, so a write anywhere on a reverse
@@ -120,13 +118,14 @@ def test_single_s_override():
 
 
 def test_one_sided_guarantee_random(rng):
-    # connected ordinary pairs are never separated, in any mode
+    # connected ordinary pairs are never separated, in any mode; rand mode
+    # runs twice, on successive draws of one rng
     for _ in range(8):
         n = rng.randrange(4, 9)
         k = rng.randrange(1, 3)
         g = gen_random_kec(n, k, rng.randrange(0, 2 * n),
                            rng.randrange(10**6))
-        for mode in ("det", "rand"):
+        for mode in ("rand", "rand", "exact"):
             part = compute_k2ecc(g, k, 0.3, mode, rng)
             report = verify_partition(g, part, k + 2)
             assert report.ok, report.false_separations
@@ -150,7 +149,7 @@ def test_4ecc_prepared_planted(rng):
     assert report.ok
 
 
-@pytest.mark.parametrize("mode", ["det", "rand", "exact"])
+@pytest.mark.parametrize("mode", ["rand", "exact"])
 def test_lambda_below_k_raises_in_every_mode(mode):
     # exact mode runs no sampling pass; the small-set pass's lambdas are
     # checked as well; lambda(1, 0) is the first one read
@@ -190,7 +189,7 @@ def test_sampling_pass_dispatch_counts(rng):
     assert len(recs) == 2  # one per direction
     n_ord = g.n_live
     for rec in recs:
-        assert rec["draws"] == sample_count(n_ord, 0.2, "rand")
+        assert rec["draws"] == sample_count(n_ord, 0.2)
 
 
 def test_separation_attribution(rng):
@@ -239,7 +238,7 @@ def test_large_set_sampling_hits(rng):
     trials, hits = 200, 0
     for t in range(trials):
         rng_t = sub_rng(t, "sampling-hits")
-        draws = sample_count(n_ord, delta, "rand")
+        draws = sample_count(n_ord, delta)
         tails = {g.tail(edges[rng_t.randrange(len(edges))])
                  for _ in range(draws)}
         if tails & big:
@@ -276,17 +275,26 @@ def test_k_below_one_is_rejected():
 
 
 def test_det_mode_without_rng_is_rejected(monkeypatch):
-    # det mode's sampling pass draws edges too, so it needs an rng; the
-    # pipeline says so before it decomposes anything
+    # the partitions take rand and exact mode only, with an rng or without,
+    # and the pipeline says so before it decomposes anything; rand mode
+    # still needs an rng, and the decomposition keeps its det mode
     decomposed = []
     monkeypatch.setattr(drv, "decompose_kecc",
                         lambda *args, **kwargs: decomposed.append(args))
     g = gen_blocks(6, 6, 2)
-    with pytest.raises(GraphError, match="needs an rng"):
-        compute_k2ecc(g, 2, 0.25, "det")
+    named = re.escape("mode must be one of ('rand', 'exact'), got 'det'")
+    for rng in (None, random.Random(0)):
+        for call in (lambda: compute_k2ecc(g, 2, 0.25, "det", rng),
+                     lambda: compute_partition_single(g, 2, 0.25, "det", rng),
+                     lambda: compute_4ecc_prepared(g, 0.25, "det", rng)):
+            with pytest.raises(GraphError, match=f"^{named}$"):
+                call()
+    with pytest.raises(GraphError, match="^rand mode needs an rng$"):
+        compute_k2ecc(g, 2, 0.25, "rand")
     assert not decomposed
-    with pytest.raises(GraphError, match="needs an rng"):
-        compute_partition_single(g, 2, 0.25, "det")
+    pieces = decompose_kecc(g, 2, 0.25, "det")
+    assert sorted(sorted(p.ordinary) for p in pieces) == [
+        list(range(6)), list(range(6, 12))]
 
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
@@ -326,8 +334,8 @@ def block_rings(draw):
     several pieces: rings of 2-5 complete blocks of 3-6 vertices, each
     block joined to the next by one arc each way between drawn members,
     plus random cross arcs, under a drawn vertex numbering.  The pieces
-    carry auxiliary vertices, so the good partitions of det and rand mode
-    contract latest cuts next to them."""
+    carry auxiliary vertices, so the good partitions of rand mode contract
+    latest cuts next to them."""
     sizes = draw(st.lists(st.integers(3, 6), min_size=2, max_size=5))
     n = sum(sizes)
     blocks = []
@@ -351,15 +359,55 @@ def test_k2ecc_exact_equals_oracle_on_block_rings(g):
     assert compute_k2ecc(g, 2, 0.25, "exact") == ecc_components(g, 4)
 
 
+@st.composite
+def marked_block_rings(draw):
+    """block_rings with a drawn set of vertices marked auxiliary, at least
+    one vertex left ordinary."""
+    g = draw(block_rings())
+    n = g.n_live
+    aux = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    g.set_ordinary(v for v in g.vertices() if v not in aux)
+    return g
+
+
 @PROPERTY
-@given(block_rings(), st.sampled_from(["det", "rand"]),
-       st.integers(0, 2**32 - 1))
-def test_k2ecc_splits_no_4_connected_pair_on_block_rings(g, mode, seed):
-    # the good partitions of the pieces must see strongly connected graphs
-    with strongly_connected_audit():
-        part = compute_k2ecc(g, 2, 0.25, mode, random.Random(seed))
-    report = verify_partition(g, part, 4)
-    assert report.ok, report.false_separations
+@given(marked_block_rings(), st.integers(0, 2**32 - 1))
+def test_k2ecc_partitions_the_ordinary_vertices(g, seed):
+    # the ordinary vertices carry the component claims, and only they are
+    # partitioned: exact mode gives their classes, rand mode splits no
+    # 4-connected pair of them
+    ordinary = g.ordinary_vertices()
+    want = ecc_components(g, 4).restrict(ordinary)
+    assert compute_k2ecc(g, 2, 0.25, "exact") == want
+    part = compute_k2ecc(g, 2, 0.25, "rand", random.Random(seed))
+    assert part.universe == tuple(ordinary)
+    for block in want.blocks():
+        assert len({part.label[v] for v in block}) == 1, block
+
+
+@PROPERTY
+@given(block_rings())
+def test_4ecc_prepared_exact_equals_oracle_on_pieces(g):
+    # the prepared driver's contract on every piece of a decomposition:
+    # exact mode gives the 4-connectivity classes of the ordinary vertices
+    for piece in decompose_kecc(g, 2, 0.25, "det"):
+        h = piece.graph
+        ordinary = h.ordinary_vertices()
+        part = compute_4ecc_prepared(h, 0.25, "exact")
+        assert part.restrict(ordinary) == \
+            ecc_components(h, 4).restrict(ordinary)
+
+
+@PROPERTY
+@given(block_rings(), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_k2ecc_splits_no_4_connected_pair_on_block_rings(g, seed, seed2):
+    # the good partitions of the pieces must see strongly connected graphs,
+    # on two independent sampling streams
+    for stream in (seed, seed2):
+        with strongly_connected_audit():
+            part = compute_k2ecc(g, 2, 0.25, "rand", random.Random(stream))
+        report = verify_partition(g, part, 4)
+        assert report.ok, report.false_separations
 
 
 def _root_fixture(aux=False):
@@ -384,7 +432,7 @@ def _root_fixture(aux=False):
     return g
 
 
-@pytest.mark.parametrize("mode", ["det", "rand", "exact"])
+@pytest.mark.parametrize("mode", ["rand", "exact"])
 @pytest.mark.parametrize("aux,s,want", [(False, None, 1), (True, None, 1),
                                         (False, 3, 3), (True, 0, 0)])
 def test_default_root_is_best_connected_ordinary(monkeypatch, mode, aux, s,
@@ -440,12 +488,12 @@ def test_default_root_skips_an_auxiliary_hub(case):
 
 @pytest.mark.parametrize("mode,kernel,other", [
     ("exact", "flow_state", "lambda_bounded"),
-    ("det", "lambda_bounded", "flow_state")])
+    ("rand", "lambda_bounded", "flow_state")])
 def test_one_flow_per_small_set_vertex(monkeypatch, mode, kernel, other):
     # each direction's small-set pass runs one flow into certified sinks per
     # vertex other than the root, and reads both lambda and, in exact mode,
     # the set off it; with no auxiliary vertex the sampling pass finds
-    # every tail's lambda cached.  The only other flows are det mode's good
+    # every tail's lambda cached.  The only other flows are rand mode's good
     # partitions: one into the same sinks per sampled vertex below k+2
     calls = {kernel: [], other: []}
     for name, seen in calls.items():
@@ -470,12 +518,13 @@ def test_one_flow_per_small_set_vertex(monkeypatch, mode, kernel, other):
             assert cap == 4 and lambda_bounded(g, v, s, cap) < cap
 
 
-@pytest.mark.parametrize("mode", ["det", "rand"])
-def test_one_flow_per_auxiliary_tail(monkeypatch, mode):
+@pytest.mark.parametrize("seed", [1, 2], ids=["rand", "rand-2"])
+def test_one_flow_per_auxiliary_tail(monkeypatch, seed):
     # a sampled auxiliary tail, which the small-set pass skips, gets one
     # flow per direction: the one that reads its lambda is the one its good
     # partition reads.  The pieces of a block chain hold auxiliary vertices,
-    # contracted blocks, and some of them sit below k+2
+    # contracted blocks, and some of them sit below k+2; each seed is one
+    # sampling stream
     flows = []
     for name in ("flow_state", "lambda_bounded"):
         fn = getattr(drv, name)
@@ -488,9 +537,9 @@ def test_one_flow_per_auxiliary_tail(monkeypatch, mode):
         drv, "good_partition",
         lambda fs, t: good.append(fs) or real_good(fs, t))
     pieces = decompose_kecc(gen_chain(8, 6, 1), 2, 0.2, "det")
-    rng = random.Random(1)
+    rng = random.Random(seed)
     for piece in pieces:
-        compute_partition_single(piece.graph, 2, 0.2, mode, rng)
+        compute_partition_single(piece.graph, 2, 0.2, "rand", rng)
     aux = Counter((id(g), v) for g, v in flows if g.kind[v] == AUXILIARY)
     assert aux and max(aux.values()) == 1
     assert any(fs.overlay.g.kind[fs.source] == AUXILIARY for fs in good)

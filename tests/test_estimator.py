@@ -16,13 +16,22 @@ def blocks_edges():
 
 
 def test_get_set_params_roundtrip():
-    est = KPlusTwoComponents(k=3, delta=0.1, mode="det", seed=7)
+    est = KPlusTwoComponents(k=3, delta=0.1, mode="exact", seed=7)
     params = est.get_params()
-    assert params == {"k": 3, "delta": 0.1, "mode": "det", "seed": 7}
+    assert params == {"k": 3, "delta": 0.1, "mode": "exact", "seed": 7}
     est.set_params(k=2, seed=1)
     assert est.k == 2 and est.seed == 1
     with pytest.raises(ValueError):
         est.set_params(gamma=1)
+
+
+def test_fit_rejects_det_mode():
+    named = r"^mode must be one of \('rand', 'exact'\), got 'det'$"
+    for est in (KPlusTwoComponents(mode="det"),
+                PreparedFourComponents(mode="det")):
+        with pytest.raises(GraphError, match=named):
+            est.fit(blocks_edges())
+        assert est.labels_ is None
 
 
 def test_public_names_resolve():

@@ -403,6 +403,25 @@ def test_minimal_side_of_a_flow_at_cap_raises():
             fs.minimal_side()
 
 
+def test_every_reader_of_a_flow_at_cap_raises():
+    # from 0 both one-edge paths into 1 take the flow to its cap with no
+    # overlay; into 2 the augmenting searches do, and none of them fails
+    for dst in (1, 2):
+        fs = flow_state(gen_cyc(4, 3), 0, dst, 2)
+        assert fs.value == 2 and fs.reach is None
+        assert (fs.overlay is None) == (dst == 1)
+        for read in (fs.minimal_side, fs.latest_side, fs.scc_partition):
+            with pytest.raises(GraphError, match="reached its cap 2"):
+                read()
+    # lambda(27, 12) = 5: capped at 5 the flow is no maximum flow at t = 6
+    g = gen_random_kec(30, 2, 90, 3)
+    with pytest.raises(GraphError, match="reached its cap 5"):
+        good_partition(flow_state(g, 27, 12, 5), 6)
+    whole = good_partition(flow_state(g, 27, 12), 6)
+    assert whole.n_blocks == 2
+    assert good_partition(flow_state(g, 27, 12, 6), 6) == whole
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(certified_passes())
 def test_flows_keep_their_ends_and_reach(case):

@@ -23,9 +23,6 @@ from conftest import random_strongly_connected, random_walk
 
 # compute_k2ecc(gen_random_kec(120, 2, 600, seed), k=2, delta=0.25, mode)
 K2ECC_DIGESTS = {
-    ("det", 0): "970d702efd4c72d806c823042ac5ebf69fe7044656d9cdf05a4cf6e32219283e",
-    ("det", 1): "525280de79ca7ce2d7ad9aa4767c6ab29adf1371d22b5968d8340a5100746f23",
-    ("det", 2): "156182334a6557d83e0f1d197a4ab6f71aa03d1c47e56387454f240b058405fc",
     ("rand", 0): "bd2415b0db121f2a204236252089bb7dec965cfe1b7e7138efe0738c0625753e",
     ("rand", 1): "5bec8f82a0d74e1f4e31c1d21498cef10bdd11e45595ef597a02af17f09c9df5",
     ("rand", 2): "47232618cf61b49d16b5c3373bd945c85ceecc7b3b2ade2c3eb1384c551923c7",

@@ -196,7 +196,7 @@ def test_cli_names_precondition_failures_one_based(tmp_path, capsys,
     graph = tmp_path / "chain.gr"
     main(["gen", "chain", "--blocks", "10", "--size", "5", "--k", "1",
           "--out", str(graph)])
-    for mode in ("exact", "rand", "det"):
+    for mode in ("exact", "rand"):
         assert main(["components", str(graph), "--k", "3", "--mode",
                      mode]) == 1
         assert capsys.readouterr().err == (
@@ -233,6 +233,37 @@ def test_cli_components_verify_oracle(tmp_path, capsys):
     doc["blocks"] = [sorted(x for b in doc["blocks"] for x in b)]
     got.write_text(json.dumps(doc))
     assert main(["verify", str(got), str(truth)]) == 1
+
+
+def test_cli_components_with_auxiliary_vertices(tmp_path, capsys):
+    # o lines mark the first 45 of the chain's 50 vertices ordinary; the
+    # components cover those alone, and verify compares them with the oracle
+    graph = tmp_path / "chain.gr"
+    truth = tmp_path / "truth.json"
+    main(["gen", "chain", "--blocks", "10", "--size", "5", "--k", "1",
+          "--out", str(graph)])
+    with graph.open("a") as fh:
+        fh.writelines(f"o {v}\n" for v in range(1, 46))
+    assert main(["oracle", str(graph), "--c", "4", "--out", str(truth)]) == 0
+    for mode in ("exact", "rand"):
+        got = tmp_path / f"got-{mode}.json"
+        assert main(["components", str(graph), "--k", "2", "--mode", mode,
+                     "--seed", "1", "--out", str(got)]) == 0
+        doc = json.loads(got.read_text())
+        assert doc["ordinary"] == list(range(1, 46))
+        assert sorted(v for b in doc["blocks"] for v in b) == doc["ordinary"]
+        assert main(["verify", str(got), str(truth)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_components_rejects_det_mode(tmp_path, capsys):
+    # det mode decomposes, but no longer partitions
+    graph = tmp_path / "g.gr"
+    main(["gen", "blocks", "--p", "5", "--q", "5", "--k", "2", "--out",
+          str(graph)])
+    assert main(["components", str(graph), "--k", "2", "--mode", "det"]) == 1
+    assert "argument --mode: invalid choice: 'det'" in capsys.readouterr().err
+    assert main(["decompose", str(graph), "--k", "2", "--mode", "det"]) == 0
 
 
 @pytest.mark.parametrize("damage,cause", [
