@@ -18,7 +18,7 @@ import sys
 import time
 
 from .decompose import DecompositionError, decompose_kecc, verify_decomposition
-from .digraph import ConnectivityError, GraphError, materialize, out_and_vol
+from .digraph import ConnectivityError, GraphError, out_and_vol
 from .driver import compute_k2ecc
 from .flow import lambda_bounded
 from .gen import MODELS, gen, sub_rng
@@ -116,8 +116,8 @@ def _cmd_decompose(args):
                         "m": piece.graph.m_live,
                         "ordinary": [o + 1 for o in sorted(piece.ordinary)]})
         if args.out_dir:
-            compact, vmap = materialize(piece.graph)
-            text = write_graph(compact, comment=f"piece {i} of {args.graph}")
+            text = write_graph(piece.graph,
+                               comment=f"piece {i} of {args.graph}")
             with open(f"{args.out_dir}/piece_{i:03d}.gr", "w",
                       encoding="utf-8") as fh:
                 fh.write(text)
@@ -145,8 +145,9 @@ def _cmd_components(args):
 
 def _cmd_oracle(args):
     g = _read_graph(args.graph)
-    part = ecc_components(g, args.c)
-    text = partition_to_json(part, g.ordinary_vertices(), k=args.c,
+    ordinary = g.ordinary_vertices()
+    part = ecc_components(g, args.c).restrict(ordinary)
+    text = partition_to_json(part, ordinary, k=args.c,
                              mode="oracle", seed=None, delta=None)
     _write_text(args.out, text)
     return 0

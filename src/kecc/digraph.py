@@ -258,11 +258,11 @@ class _Lengths:
 
 
 class ReversalOverlay:
-    """Journaled per-edge direction flips over a frozen graph.
+    """Per-edge direction flips over a frozen graph.
 
     Traversal through the overlay sees edge (x, y) as (y, x) when flipped.
-    The base graph is never touched; rewind restores the overlay to an
-    earlier journal mark exactly.  succ and pred walk a vertex's edge lists
+    The base graph is never touched; reversing a walk a second time
+    restores the overlay exactly.  succ and pred walk a vertex's edge lists
     directly while it has no flipped edge, and skip or turn its flipped
     edges otherwise.  Flows search for paths into marked vertices with
     path_into and read backward reach with bfs; local searches walk the
@@ -273,25 +273,7 @@ class ReversalOverlay:
     def __init__(self, g):
         self.g = g
         self.flip = bytearray(len(g.e_tail))
-        self.journal = []
         self.dirty = {}
-
-    def mark(self):
-        return len(self.journal)
-
-    def _toggle(self, e):
-        f = self.flip[e] ^ 1
-        self.flip[e] = f
-        d = 1 if f else -1
-        dirty = self.dirty
-        # count flipped edges per endpoint; succ and pred check the flips
-        # only at vertices with a nonzero count
-        for v in (self.g.tail(e), self.g.head(e)):
-            c = dirty.get(v, 0) + d
-            if c:
-                dirty[v] = c
-            else:
-                del dirty[v]
 
     def tail(self, e):
         if self.flip[e]:
@@ -319,14 +301,19 @@ class ReversalOverlay:
     def reverse_trusted(self, path):
         """reverse_path without its checks, for walks the traversal kernels
         built on this overlay themselves."""
+        g, flip, dirty = self.g, self.flip, self.dirty
         for e in path:
-            self._toggle(e)
-        self.journal.extend(path)
-
-    def rewind(self, mark):
-        journal = self.journal
-        while len(journal) > mark:
-            self._toggle(journal.pop())
+            f = flip[e] ^ 1
+            flip[e] = f
+            d = 1 if f else -1
+            # count flipped edges per endpoint; succ and pred check the flips
+            # only at vertices with a nonzero count
+            for v in (g.e_tail[e], g.e_head[e]):
+                c = dirty.get(v, 0) + d
+                if c:
+                    dirty[v] = c
+                else:
+                    del dirty[v]
 
     def succ(self, v):
         """(edge, head) pairs of v's edges as the overlay directs them: its

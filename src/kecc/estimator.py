@@ -1,6 +1,7 @@
 """Scikit-learn style estimators wrapping the partition drivers.
 
-fit(X) accepts a Digraph or an edge list, exposes labels_ over vertex ids and
+fit(X) accepts a Digraph or an edge list, exposes labels_ over vertex ids
+(-1 for an auxiliary vertex, as scikit-learn's DBSCAN labels noise) and
 follows the get_params/set_params convention, so the components integrate
 with pipelines and model-selection tooling without a scikit-learn dependency.
 """
@@ -32,10 +33,13 @@ class _BaseEstimator:
             setattr(self, name, value)
         return self
 
-    def _fitted(self, part):
-        """Store the Partition part as the fit's result; returns self."""
+    def _fitted(self, g, part):
+        """Store the Partition part, restricted to the ordinary vertices of
+        g, as the fit's result: labels_[v] is v's component, -1 for every
+        other vertex id of g.  Returns self."""
+        part = part.restrict(g.ordinary_vertices())
         self.partition_ = part
-        self.labels_ = [part.label[v] for v in part.universe]
+        self.labels_ = [part.label.get(v, -1) for v in range(g.n_slots())]
         self.n_components_ = part.n_blocks
         return self
 
@@ -50,8 +54,8 @@ class KPlusTwoComponents(_BaseEstimator):
 
     Parameters mirror the pipeline: failure budget delta, mode ("rand" or
     "exact", which draws nothing), and a seed from which all randomness is
-    derived.  After fit, labels_ lists the component ids of the ordinary
-    vertices in ascending order: labels_[v] is vertex v's when all are.
+    derived.  After fit, labels_[v] is vertex v's component, -1 for an
+    auxiliary vertex.
     """
 
     def __init__(self, k=2, delta=0.25, mode="rand", seed=0):
@@ -64,9 +68,10 @@ class KPlusTwoComponents(_BaseEstimator):
         self.partition_ = None
 
     def fit(self, X, y=None):
-        part = compute_k2ecc(as_digraph(X), self.k, self.delta, self.mode,
+        g = as_digraph(X)
+        part = compute_k2ecc(g, self.k, self.delta, self.mode,
                              sub_rng(self.seed, "k2ecc"))
-        return self._fitted(part)
+        return self._fitted(g, part)
 
     def fit_predict(self, X, y=None):
         return self.fit(X).labels_
@@ -75,7 +80,8 @@ class KPlusTwoComponents(_BaseEstimator):
 class PreparedFourComponents(_BaseEstimator):
     """Cluster the ordinary vertices of a prepared strongly connected graph
     (ordinary vertices 3-edge-connected) into 4-edge-connected components;
-    mode is "rand" or "exact", and labels_[v] is the block of any vertex v."""
+    mode is "rand" or "exact", and labels_ is shaped as KPlusTwoComponents'
+    is."""
 
     def __init__(self, delta=0.25, mode="rand", seed=0):
         self.delta = delta
@@ -86,10 +92,10 @@ class PreparedFourComponents(_BaseEstimator):
         self.partition_ = None
 
     def fit(self, X, y=None, ordinary=None):
-        part = compute_4ecc_prepared(as_digraph(X, ordinary=ordinary),
-                                     self.delta, self.mode,
+        g = as_digraph(X, ordinary=ordinary)
+        part = compute_4ecc_prepared(g, self.delta, self.mode,
                                      sub_rng(self.seed, "4ecc"))
-        return self._fitted(part)
+        return self._fitted(g, part)
 
     def fit_predict(self, X, y=None, ordinary=None):
         return self.fit(X, ordinary=ordinary).labels_

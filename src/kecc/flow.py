@@ -43,8 +43,8 @@ class FlowState:
     reversals on a private overlay.
 
     value equals the number of augmenting paths reversed, and the overlay
-    journal holds exactly the edges of those paths; a flow that its one-edge
-    paths alone take to its cap has no overlay (None).  ends lists each
+    flips exactly the edges that carry flow; a flow that its one-edge paths
+    alone take to its cap has no overlay (None).  ends lists each
     path's marked end, the one-edge paths' first; reach is the tree of the
     search that found no path, the source's residual reach (None at cap).
     """

@@ -136,10 +136,9 @@ def _search_level(ov, v, s, level, delta):
     if level == 0:
         return _bounded_reach(ov, v, s, delta)
     for path in find_out_paths(ov, v, s, level, delta):
-        mark = ov.mark()
         ov.reverse_trusted(path)
         got = _search_level(ov, v, s, level - 1, delta)
-        ov.rewind(mark)
+        ov.reverse_trusted(path)
         if got is not None:
             return got
     return None

@@ -7,10 +7,11 @@ import sys
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import strategies as st
 
 import kecc.driver
 import kecc.partitions
-from kecc.digraph import AUXILIARY, Digraph, GraphError, contract
+from kecc.digraph import AUXILIARY, Digraph, GraphError, contract, from_arcs
 from kecc.flow import flow_state
 from kecc.local_search import SearchBudget
 from kecc.partitions import Partition, ecc_naive, refine_many
@@ -325,6 +326,31 @@ def closed_sets(pq, guard=20):
                     members.extend(comp_members[c])
             out.append(frozenset(members))
     return out
+
+
+@st.composite
+def block_rings(draw):
+    """2-edge-connected graphs of at most 30 vertices that decompose into
+    several pieces: rings of 2-5 complete blocks of 3-6 vertices, each
+    block joined to the next by one arc each way between drawn members,
+    plus random cross arcs, under a drawn vertex numbering.  The pieces
+    carry auxiliary vertices, so the good partitions of rand mode contract
+    latest cuts next to them."""
+    sizes = draw(st.lists(st.integers(3, 6), min_size=2, max_size=5))
+    n = sum(sizes)
+    blocks = []
+    for size in sizes:
+        start = sum(map(len, blocks))
+        blocks.append(range(start, start + size))
+    arcs = [(u, v) for b in blocks for u in b for v in b if u != v]
+    for b, nxt in zip(blocks, blocks[1:] + blocks[:1]):
+        arcs.append((draw(st.sampled_from(b)), draw(st.sampled_from(nxt))))
+        arcs.append((draw(st.sampled_from(nxt)), draw(st.sampled_from(b))))
+    arcs += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)).filter(
+        lambda a: a[0] != a[1]), max_size=n // 3))
+    name = draw(st.permutations(range(n)))
+    return from_arcs(n, [(name[u], name[v], 1) for u, v in arcs])
 
 
 def arrays(g):

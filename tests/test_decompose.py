@@ -20,7 +20,8 @@ from kecc.local_search import EMPTY, MSetResult
 from kecc.oracle import (enumerate_separators, lambda_oracle,
                          mutually_connected)
 
-from conftest import arrays, fingerprint, random_strongly_connected
+from conftest import (arrays, block_rings, fingerprint,
+                      random_strongly_connected)
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
                     database=None)
@@ -613,3 +614,64 @@ def test_minimal_in_out_sets_characterization(rng):
                 same = (class_of(fwd, u) == class_of(fwd, v)
                         and class_of(bwd, u) == class_of(bwd, v))
                 assert same == mutually_connected(g, u, v, k + 1)
+
+
+@st.composite
+def kec_cases(draw):
+    """(graph, k): a block ring at k = 2, or a small random
+    k-edge-connected graph."""
+    if draw(st.booleans()):
+        return draw(block_rings()), 2
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(3, 12))
+    return gen_random_kec(n, k, draw(st.integers(0, 2 * n)),
+                          draw(st.integers(0, 10**6))), k
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_phase_contracts_the_sides_proper_order_found(monkeypatch, mode):
+    # each set a phase contracts is the side proper_order returned for its
+    # class, with every set contracted earlier in the phase replaced by its
+    # representative: the sides are laminar, so the phase could contract
+    # them without searching
+    phases = []  # per proper_order call: its classes, then the contractions
+    order, contract_lazy = dc.proper_order, Digraph.contract_lazy
+
+    def ordered(g, s, k):
+        classes = order(g, s, k)
+        phases.append((classes, []))
+        return classes
+
+    def contracted(g, members, rep):
+        phases[-1][1].append((set(members), rep))
+        return contract_lazy(g, members, rep)
+
+    monkeypatch.setattr(dc, "proper_order", ordered)
+    monkeypatch.setattr(Digraph, "contract_lazy", contracted)
+    nested = 0  # sides that held an earlier contracted set
+
+    @PROPERTY
+    @given(kec_cases(), st.integers(0, 2**32 - 1))
+    def check(case, seed):
+        nonlocal nested
+        g, k = case
+        phases.clear()
+        decompose_kecc(g, k, 1e-4, mode, random.Random(seed))
+        for classes, contractions in phases:
+            assert len(contractions) == len(classes)
+            into = {}  # contracted vertex -> the representative it merged into
+
+            def current(u):
+                while u in into:
+                    u = into[u]
+                return u
+
+            for (_members, side), (members, rep) in zip(classes,
+                                                        contractions):
+                mapped = {current(u) for u in side}
+                nested += len(mapped) < len(side)
+                assert members == mapped
+                into.update((u, rep) for u in members if u != rep)
+
+    check()
+    assert nested

@@ -120,8 +120,10 @@ def test_reverse_path_cycle_fixture():
     assert (out_of(g, s, ov), vol_of(g, s, ov)) == (1, 3)
     ov.reverse_path(path)
     assert (out_of(g, s, ov), vol_of(g, s, ov)) == (0, 2)
-    ov.rewind(0)
+    ov.reverse_path(path[::-1])  # the reversed walk, 0->3->2->1
     assert (out_of(g, s, ov), vol_of(g, s, ov)) == (1, 3)
+    assert not any(ov.flip)
+    assert not ov.dirty
 
 
 def test_reverse_path_ending_inside():
@@ -155,7 +157,7 @@ def test_reverse_undo_randomized(rng):
         walk = random_walk(g, ov, rng, start)
         if walk:
             ov.reverse_path(walk)
-        ov.rewind(0)
+            ov.reverse_path(walk[::-1])
         assert (out_of(g, members, ov), vol_of(g, members, ov)) == before
         assert not any(ov.flip)
         assert not ov.dirty

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import kecc.driver as drv
 from kecc.digraph import (AUXILIARY, ConnectivityError, Digraph, GraphError,
-                          from_arcs, vol_of)
+                          vol_of)
 from kecc.decompose import decompose_kecc
 from kecc.driver import (compute_4ecc_prepared, compute_k2ecc,
                          compute_partition_single, sample_count)
@@ -25,7 +25,8 @@ from kecc.oracle import (BOTTOM, ecc_components, mset_oracle,
 from kecc.partitions import ecc_naive, good_partition, partition_from_msets
 from kecc.local_search import local_search_mset
 
-from conftest import arrays, planted_deficient, strongly_connected_audit
+from conftest import (arrays, block_rings, planted_deficient,
+                      strongly_connected_audit)
 
 
 def test_sample_count_formula():
@@ -326,31 +327,6 @@ def test_partition_does_not_depend_on_root(case, seed):
                                         random.Random(seed))
     report = verify_partition(h, part, k + 2)
     assert report.ok, report.false_separations
-
-
-@st.composite
-def block_rings(draw):
-    """2-edge-connected graphs of at most 30 vertices that decompose into
-    several pieces: rings of 2-5 complete blocks of 3-6 vertices, each
-    block joined to the next by one arc each way between drawn members,
-    plus random cross arcs, under a drawn vertex numbering.  The pieces
-    carry auxiliary vertices, so the good partitions of rand mode contract
-    latest cuts next to them."""
-    sizes = draw(st.lists(st.integers(3, 6), min_size=2, max_size=5))
-    n = sum(sizes)
-    blocks = []
-    for size in sizes:
-        start = sum(map(len, blocks))
-        blocks.append(range(start, start + size))
-    arcs = [(u, v) for b in blocks for u in b for v in b if u != v]
-    for b, nxt in zip(blocks, blocks[1:] + blocks[:1]):
-        arcs.append((draw(st.sampled_from(b)), draw(st.sampled_from(nxt))))
-        arcs.append((draw(st.sampled_from(nxt)), draw(st.sampled_from(b))))
-    arcs += draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                    st.integers(0, n - 1)).filter(
-        lambda a: a[0] != a[1]), max_size=n // 3))
-    name = draw(st.permutations(range(n)))
-    return from_arcs(n, [(name[u], name[v], 1) for u, v in arcs])
 
 
 @PROPERTY

@@ -3,7 +3,7 @@
 import pytest
 
 import kecc
-from kecc.digraph import GraphError
+from kecc.digraph import GraphError, from_arcs
 from kecc.driver import compute_k2ecc
 from kecc.estimator import KPlusTwoComponents, PreparedFourComponents
 from kecc.gen import gen_blocks, gen_chain, sub_rng
@@ -72,6 +72,31 @@ def test_prepared_four_components():
     labels = est.fit_predict(g)
     assert labels == [0] * 5 + [1] * 5
     assert est.n_components_ == 2
+
+
+def test_k2ecc_labels_follow_vertex_ids():
+    # o-marked like the CLI's chain file: the 45 ordinary vertices are nine
+    # 5-cliques, and the auxiliary last block gets the noise label -1
+    g = gen_chain(10, 5, 1)
+    g.set_ordinary(range(45))
+    for mode in ("rand", "exact"):
+        est = KPlusTwoComponents(k=2, mode=mode, seed=1)
+        assert est.fit_predict(g) == [v // 5 for v in range(45)] + [-1] * 5
+        assert est.n_components_ == 9
+
+
+def test_prepared_four_labels_follow_vertex_ids():
+    # two 5-cliques joined by three arcs each way: the ordinary vertices are
+    # 3-edge-connected and split into the two cliques; 3 and 8 are auxiliary
+    def clique(b):
+        return [(u, v, 1) for u in range(b, b + 5) for v in range(b, b + 5)
+                if u != v]
+    g = from_arcs(10, clique(0) + clique(5) + [(0, 5, 3), (5, 0, 3)],
+                  ordinary=[0, 1, 2, 4, 5, 6, 7, 9])
+    for mode in ("rand", "exact"):
+        est = PreparedFourComponents(mode=mode, seed=3)
+        assert est.fit_predict(g) == [0, 0, 0, -1, 0, 1, 1, 1, -1, 1]
+        assert est.n_components_ == 2
 
 
 def test_as_digraph_shapes():

@@ -42,10 +42,10 @@ def test_lambda_matches_oracle_random(rng):
 def test_flow_state_fixtures():
     fs = flow_state(gen_cyc(4, 1), 1, 0)
     assert fs.value == 1
-    assert len(fs.overlay.journal) == 3  # one path of three edges
+    assert sum(fs.overlay.flip) == 3  # one path of three edges
     fs = flow_state(gen_kn(4), 0, 3)
     assert fs.value == 3
-    assert len(fs.overlay.journal) == 5  # paths of lengths 1, 2, 2
+    assert sum(fs.overlay.flip) == 5  # paths of lengths 1, 2, 2
 
 
 def test_minimal_mincut_fixtures():

@@ -12,7 +12,7 @@ from kecc.cli import main
 from kecc.decompose import DecompositionError, decompose_kecc
 from kecc.digraph import AUXILIARY, ORDINARY, materialize
 from kecc.driver import _check_value
-from kecc.gen import gen_blocks, gen_chain
+from kecc.gen import gen_blocks, gen_chain, sub_rng
 from kecc.graphio import (GraphFormatError, parse_graph, partition_from_json,
                           partition_to_json, write_graph)
 from kecc.oracle import ecc_components
@@ -235,15 +235,21 @@ def test_cli_components_verify_oracle(tmp_path, capsys):
     assert main(["verify", str(got), str(truth)]) == 1
 
 
-def test_cli_components_with_auxiliary_vertices(tmp_path, capsys):
-    # o lines mark the first 45 of the chain's 50 vertices ordinary; the
-    # components cover those alone, and verify compares them with the oracle
+def _chain_with_o_lines(tmp_path):
+    """The 50-vertex chain file whose o lines mark the first 45 ordinary."""
     graph = tmp_path / "chain.gr"
-    truth = tmp_path / "truth.json"
     main(["gen", "chain", "--blocks", "10", "--size", "5", "--k", "1",
           "--out", str(graph)])
     with graph.open("a") as fh:
         fh.writelines(f"o {v}\n" for v in range(1, 46))
+    return graph
+
+
+def test_cli_components_with_auxiliary_vertices(tmp_path, capsys):
+    # o lines mark the first 45 of the chain's 50 vertices ordinary; the
+    # components cover those alone, and verify compares them with the oracle
+    graph = _chain_with_o_lines(tmp_path)
+    truth = tmp_path / "truth.json"
     assert main(["oracle", str(graph), "--c", "4", "--out", str(truth)]) == 0
     for mode in ("exact", "rand"):
         got = tmp_path / f"got-{mode}.json"
@@ -254,6 +260,22 @@ def test_cli_components_with_auxiliary_vertices(tmp_path, capsys):
         assert sorted(v for b in doc["blocks"] for v in b) == doc["ordinary"]
         assert main(["verify", str(got), str(truth)]) == 0
     capsys.readouterr()
+
+
+def test_cli_oracle_covers_the_ordinary_vertices(tmp_path):
+    # the oracle's partition and the components' cover the same 45 vertices
+    # and agree on "n"
+    graph = _chain_with_o_lines(tmp_path)
+    truth = tmp_path / "truth.json"
+    got = tmp_path / "got.json"
+    assert main(["oracle", str(graph), "--c", "4", "--out", str(truth)]) == 0
+    assert main(["components", str(graph), "--k", "2", "--mode", "exact",
+                 "--out", str(got)]) == 0
+    for doc in (json.loads(truth.read_text()), json.loads(got.read_text())):
+        assert doc["n"] == 45
+        assert doc["ordinary"] == list(range(1, 46))
+        assert doc["blocks"] == [list(range(b, b + 5))
+                                 for b in range(1, 46, 5)]
 
 
 def test_cli_components_rejects_det_mode(tmp_path, capsys):
@@ -308,6 +330,29 @@ def test_cli_decompose_and_errors(tmp_path, capsys, monkeypatch):
         raise DecompositionError("injected")
     monkeypatch.setattr(cli, "decompose_kecc", boom)
     assert main(["decompose", str(graph), "--k", "2"]) == 2
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_cli_decompose_writes_the_pieces(tmp_path, capsys, mode):
+    # each piece file parses back to its piece: the same vertex kinds and
+    # the same arcs, counted with multiplicity
+    graph = tmp_path / "chain.gr"
+    main(["gen", "chain", "--blocks", "10", "--size", "5", "--k", "1",
+          "--out", str(graph)])
+    outdir = tmp_path / "pieces"
+    outdir.mkdir()
+    assert main(["decompose", str(graph), "--k", "2", "--mode", mode,
+                 "--seed", "1", "--out-dir", str(outdir)]) == 0
+    capsys.readouterr()
+    pieces = decompose_kecc(parse_graph(graph.read_text()), 2, 0.25, mode,
+                            sub_rng(1, "decompose"))
+    files = sorted(outdir.iterdir())
+    assert [f.name for f in files] == [f"piece_{i:03d}.gr"
+                                       for i in range(len(pieces))]
+    for f, piece in zip(files, pieces):
+        h = parse_graph(f.read_text())
+        assert h.kind == piece.graph.kind
+        assert arcs_multiset(h) == arcs_multiset(piece.graph)
 
 
 def test_cli_components_rejects_bad_start(tmp_path, capsys):

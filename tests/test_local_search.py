@@ -84,9 +84,8 @@ def test_find_out_paths_builds_walks_from_v(rng):
         for path in find_out_paths(ov, v, s, rng.randrange(1, 4),
                                    rng.randrange(1, 12)):
             assert not path or ov.tail(path[0]) == v
-            mark = ov.mark()
             ov.reverse_path(path)
-            ov.rewind(mark)
+            ov.reverse_trusted(path)  # undone as _search_level undoes it
             paused += bool(path) and ov.head(path[-1]) != s
     assert paused  # paths to paused searches, not only the path to s
 

@@ -4,6 +4,7 @@ random paths reversed, and of the flows built on them against the oracle."""
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 from hypothesis import given, settings
@@ -155,6 +156,10 @@ def test_bounded_search_costs_what_it_discovers():
             ov = ReversalOverlay(g)
             ov.bounded_bfs(0, target, limit)  # warm the interpreter's caches
             scanned = []
+            # a full collection empties CPython's free lists, so the peak
+            # counts every allocation of the search, not only those the
+            # free lists could not serve
+            gc.collect()
             tracemalloc.start()
             try:
                 got = ov.bounded_bfs(0, target, limit, scanned)
